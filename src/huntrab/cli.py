@@ -97,7 +97,7 @@ def _looks_like_hypercube(g: graphs.Graph) -> int | None:
 # Commands
 
 
-def _cmd_gen(args) -> tuple[dict, int]:
+def _cmd_gen(args) -> tuple[dict | None, int]:
     arity, builder = FAMILIES[args.family]
     if len(args.params) != arity:
         raise InvalidParameterError(
@@ -106,7 +106,7 @@ def _cmd_gen(args) -> tuple[dict, int]:
     text = graphs.format_graph(g)
     if args.out is None:
         sys.stdout.write(text)
-        return {}, -1  # the graph text is the whole output
+        return None, 0  # the graph text is the whole output
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     results = {"family": args.family, "params": args.params,
@@ -114,12 +114,15 @@ def _cmd_gen(args) -> tuple[dict, int]:
     return {"inputs": {}, "results": results, "warnings": []}, 0
 
 
-def _cmd_solve(args) -> tuple[dict, int]:
+def _cmd_solve(args) -> tuple[dict | None, int]:
     g = _load_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     result = solver.hunter_number(g, variant, args.budget)
     outcome = dynamics.verify(g, result.witness)
-    assert isinstance(outcome, dynamics.Caught), "solver witness must verify"
+    if not isinstance(outcome, dynamics.Caught):
+        print(f"huntrab solve: the witness lets the rabbit escape along {list(outcome.walk)}",
+              file=sys.stderr)
+        return None, 4
     results = {
         "hunter_number": result.hunter_number,
         "variant": variant,
@@ -273,7 +276,7 @@ def _cube_report(args) -> tuple[dict, list[str]]:
         if closed_form != scan:
             warnings.append(
                 f"closed form {closed_form} disagrees with the scanned surplus {scan}")
-    elif sub == "messlemma":
+    else:  # messlemma
         if args.k is None:
             raise InvalidParameterError("messlemma needs a layer index: cube N messlemma I")
         i = args.k
@@ -294,13 +297,6 @@ def _cube_report(args) -> tuple[dict, list[str]]:
         if pos_formula != pos_scan:
             warnings.append(
                 f"stated position formula gives {pos_formula} but the scan gives {pos_scan}")
-    else:  # cumbersome
-        closed_form = cube_mod.cube_surplus_closed_form(n)
-        scan = cube_mod.cube_surplus(n)
-        results = {"closed_form": closed_form, "scan": scan,
-                   "match": "MATCH" if closed_form == scan else "MISMATCH"}
-        if closed_form != scan:
-            warnings.append(f"closed form {closed_form} disagrees with scan {scan}")
     return results, warnings
 
 
@@ -361,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cube", help="hypercube analytics (closed forms vs scans)")
     p.add_argument("n", type=int)
     p.add_argument("subcommand",
-                   choices=["hun", "diffseq", "mun", "u", "deaf", "messlemma", "cumbersome"])
+                   choices=["hun", "diffseq", "mun", "u", "deaf", "messlemma"])
     p.add_argument("k", nargs="?", type=int, help="subset size (mun) or layer index (messlemma)")
     p.add_argument("--side", choices=["even", "odd"], default="even")
     p.set_defaults(func=_cmd_cube)
@@ -386,8 +382,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"huntrab {args.command}: {exc}", file=sys.stderr)
         return 2
-    if code < 0:  # raw output already produced (gen to stdout)
-        return 0
+    if body is None:  # the command already wrote its whole output
+        return code
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

@@ -16,10 +16,11 @@ these functions interoperate with the graph-based modules.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Iterator
+from functools import reduce
+from itertools import accumulate, chain
+from typing import Iterable
 
 from .errors import InvalidParameterError
 from .orders import iter_weightlex, weightlex_positions
@@ -32,8 +33,6 @@ from .orders import iter_weightlex, weightlex_positions
 QUOTED_DIFFSEQ_Q4 = (4, 2, 1, 0, 1, 0, 0, 0, 0)
 QUOTED_SURPLUS_Q4 = 5
 
-MAX_SCAN_DIM = 24
-
 
 def comb0(a: int, b: int) -> int:
     """Binomial coefficient, 0 whenever b < 0 or b > a."""
@@ -42,48 +41,65 @@ def comb0(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def _check_dim(n: int) -> None:
+    if n < 1:
+        raise InvalidParameterError("dimension must be at least 1")
+
+
 # ---------------------------------------------------------------------------
 # Arrow sequences
+#
+# The arrow sequence (a, b) has bases (a, 0) = (a) and (0, b) = (0), and
+# (a, b) = (a, b-1) . (a-1, b) under concatenation.  When a + b = m both parts
+# lie on a + b = m - 1, so the sequences with a + b = m, listed by b = 0..m,
+# form "row m" and follow from row m - 1.  Building the rows in a loop rather
+# than by recursion keeps hundreds of dimensions within Python's stack limit.
+# Entry (a, b) feeds only entries with larger a or b, so the single sequence
+# (n, i) needs only the entries with a <= n and b <= i.
+#
+# A row holds either the sequences themselves or their summaries
+# (length, sum, best, pos): best is the maximum over non-empty prefixes of
+# prefix sum minus prefix length, and pos the last prefix length reaching it.
+# Summaries concatenate in O(1), so every scan below costs O(m^2) additions.
 
 
-@dataclass(frozen=True)
-class ArrowSeq:
-    n: int
-    i: int
-    values: tuple[int, ...]
+def _arrow_row(m: int, a_max: int, b_max: int, leaf, join) -> list:
+    """Row m of arrow sequences, cut to the (m-b, b) with m-b <= a_max and
+    b <= b_max, in order of b.  Each entry is built from leaf(v), standing
+    for the sequence (v), and join, standing for concatenation."""
+    row = {0: leaf(0)}
+    for s in range(1, m + 1):
+        row = {b: leaf(s) if b == 0 else leaf(0) if b == s else join(row[b - 1], row[b])
+               for b in range(max(0, s - a_max), min(s, b_max) + 1)}
+    return list(row.values())
 
 
-@lru_cache(maxsize=None)
-def _arrow(n: int, i: int) -> tuple[int, ...]:
-    if i == 0:
-        return (n,)
-    if n == 0:
-        return (0,)
-    return _arrow(n, i - 1) + _arrow(n - 1, i)
+def _single(v: int) -> tuple[int, ...]:
+    return (v,)
 
 
-def arrow_seq(n: int, i: int) -> ArrowSeq:
+_Summary = tuple[int, int, int, int]
+
+
+def _leaf(v: int) -> _Summary:
+    return (1, v, v - 1, 1)
+
+
+def _join(x: _Summary, y: _Summary) -> _Summary:
+    length, total, best, pos = x
+    y_length, y_total, y_best, y_pos = y
+    shifted = total - length + y_best
+    if shifted >= best:
+        best, pos = shifted, length + y_pos
+    return (length + y_length, total + y_total, best, pos)
+
+
+def arrow_seq(n: int, i: int) -> tuple[int, ...]:
     """The sequence with bases n^0 = (n), 0^i = (0) and
     n^i = n^(i-1) . (n-1)^i under concatenation."""
     if n < 0 or i < 0:
         raise InvalidParameterError("arrow sequence indices must be non-negative")
-    return ArrowSeq(n, i, _arrow(n, i))
-
-
-def iter_arrow(n: int, i: int) -> Iterator[int]:
-    """Stream the arrow sequence without materializing concatenations."""
-    if n < 0 or i < 0:
-        raise InvalidParameterError("arrow sequence indices must be non-negative")
-    stack = [(n, i)]
-    while stack:
-        a, b = stack.pop()
-        if b == 0:
-            yield a
-        elif a == 0:
-            yield 0
-        else:
-            stack.append((a - 1, b))
-            stack.append((a, b - 1))
+    return _arrow_row(n + i, n, i, _single, operator.add)[0]
 
 
 def arrow_len(n: int, i: int) -> int:
@@ -96,26 +112,13 @@ def arrow_sum(n: int, i: int) -> int:
     return comb0(n + i, i + 1)
 
 
-def arrow_blocks(n: int, i: int) -> list[tuple[int, int]]:
-    """Unrolled decomposition n^i = n^(i-1) . (n-1)^(i-1) ... 0^(i-1):
-    the (k, i-1) block indices for k = n down to 0."""
-    if i < 1:
-        raise InvalidParameterError("block decomposition needs i >= 1")
-    return [(k, i - 1) for k in range(n, -1, -1)]
-
-
 def arrow_max_scan(n: int, i: int) -> tuple[int, int]:
     """Last position (1-based) and value of the maximum of the running
     prefix-sum-minus-position over the (n, i) arrow sequence."""
-    best_pos = best_val = None
-    total = 0
-    for pos, entry in enumerate(iter_arrow(n, i), start=1):
-        total += entry
-        val = total - pos
-        if best_val is None or val >= best_val:
-            best_pos, best_val = pos, val
-    assert best_pos is not None and best_val is not None
-    return best_pos, best_val
+    if n < 0 or i < 0:
+        raise InvalidParameterError("arrow sequence indices must be non-negative")
+    _, _, best, pos = _arrow_row(n + i, n, i, _leaf, _join)[0]
+    return pos, best
 
 
 def arrow_max_position_formula(n: int, i: int) -> int:
@@ -150,7 +153,6 @@ class DiffSeq:
     n: int
     scope: str  # "even", "odd" or "layer-<i>"
     values: tuple[int, ...]
-    mode: str = "open"
 
     def prefix_sums(self) -> tuple[int, ...]:
         out = []
@@ -161,33 +163,34 @@ class DiffSeq:
         return tuple(out)
 
 
-def layer_diff_seq(n: int, i: int) -> DiffSeq:
-    """Difference subsequence contributed by weight layer i of Q^n.
+def _layer_values(n: int) -> list[tuple[int, ...]]:
+    """Difference subsequences of the weight layers 0..n of Q^n.
 
-    Layer 1 is special: its first vertex is the only one whose neighborhood
-    reaches down to a vertex (the empty set) not covered earlier in the scan,
-    so the leading entry is n instead of n-1.
+    Layer i is the arrow sequence (n-i, i), except that layer 1's first
+    vertex is the only one whose neighborhood reaches down to a vertex (the
+    empty set) not covered earlier in the scan, so its leading entry is n
+    instead of n-1.
     """
+    layers = _arrow_row(n, n, n, _single, operator.add)
+    if n >= 1:
+        layers[1] = (n,) + layers[1][1:]
+    return layers
+
+
+def layer_diff_seq(n: int, i: int) -> DiffSeq:
+    """Difference subsequence contributed by weight layer i of Q^n."""
     if not 0 <= i <= n:
         raise InvalidParameterError(f"layer {i} out of range 0..{n}")
-    if i == 1:
-        values = (1,) if n == 1 else (n,) + _arrow(n - 2, 1)
-    else:
-        values = _arrow(n - i, i)
-    return DiffSeq(n, f"layer-{i}", values)
+    return DiffSeq(n, f"layer-{i}", _layer_values(n)[i])
 
 
 def cube_diff_seq(n: int, side: str = "even") -> DiffSeq:
     """Difference sequence of the whole even or odd side of Q^n."""
-    if n < 1:
-        raise InvalidParameterError("dimension must be at least 1")
+    _check_dim(n)
     if side not in ("even", "odd"):
         raise InvalidParameterError(f"side must be even or odd, not {side!r}")
     parity = 0 if side == "even" else 1
-    values: tuple[int, ...] = ()
-    for i in range(parity, n + 1, 2):
-        values += layer_diff_seq(n, i).values
-    return DiffSeq(n, side, values)
+    return DiffSeq(n, side, tuple(chain.from_iterable(_layer_values(n)[parity::2])))
 
 
 def cube_min_union(n: int, k: int, side: str = "even") -> int:
@@ -199,22 +202,18 @@ def cube_min_union(n: int, k: int, side: str = "even") -> int:
 
 
 def cube_surplus(n: int) -> int:
-    """max over k of cube_min_union(n, k) - k (the two sides agree)."""
-    total = 0
-    best = None
-    for pos, entry in enumerate(cube_diff_seq(n, "even").values, start=1):
-        total += entry
-        val = total - pos
-        if best is None or val > best:
-            best = val
-    assert best is not None
-    return best
+    """max over k of cube_min_union(n, k) - k (the two sides agree).
+
+    The even side's layers 0, 2, 4, ... are the arrow sequences (n-i, i) of
+    row n, so the maximum is that of their concatenated summaries.
+    """
+    _check_dim(n)
+    return reduce(_join, _arrow_row(n, n, n, _leaf, _join)[::2])[2]
 
 
 def cube_hunter_number(n: int) -> int:
     """Closed form 1 + sum of comb(i, floor(i/2)) for i = 0..n-2."""
-    if n < 1:
-        raise InvalidParameterError("dimension must be at least 1")
+    _check_dim(n)
     return 1 + sum(math.comb(i, i // 2) for i in range(n - 1))
 
 
@@ -382,45 +381,21 @@ def initial_even_segment(n: int, size: int) -> frozenset[int]:
 # Deaf rabbit
 
 
-def _closed_coverage(n: int) -> Iterator[int]:
-    """Covered-vertex counts after adding each closed neighborhood along the
-    full weightlex order of Q^n."""
-    covered = bytearray(1 << n)
-    count = 0
-    for w in range(n + 1):
-        for combo in combinations(range(n), w):
-            v = 0
-            for b in combo:
-                v |= 1 << b
-            if not covered[v]:
-                covered[v] = 1
-                count += 1
-            for b in range(n):
-                u = v ^ (1 << b)
-                if not covered[u]:
-                    covered[u] = 1
-                    count += 1
-            yield count
-
-
-def _check_scan_dim(n: int) -> None:
-    if n < 1:
-        raise InvalidParameterError("dimension must be at least 1")
-    if n > MAX_SCAN_DIM:
-        raise InvalidParameterError(f"closed-coverage scan supports n <= {MAX_SCAN_DIM}")
-
-
 def cube_deaf_closed_profile(n: int) -> tuple[int, ...]:
-    """Closed neighborhood-union profile of Q^n along weightlex segments."""
-    _check_scan_dim(n)
-    return tuple(_closed_coverage(n))
+    """Closed neighborhood-union profile of Q^n along weightlex segments.
+
+    Its first differences are n+1 (the first closed neighborhood) followed
+    by the arrow sequences (n-w, w) for w = 1..n.
+    """
+    _check_dim(n)
+    return tuple(accumulate(chain((n + 1,), *_arrow_row(n, n, n, _single, operator.add)[1:])))
 
 
 def cube_deaf_surplus(n: int) -> int:
     """max over k of the closed profile value minus k; one less than the
     deaf-rabbit hunter number of Q^n."""
-    _check_scan_dim(n)
-    return max(c - k for k, c in enumerate(_closed_coverage(n), start=1))
+    _check_dim(n)
+    return reduce(_join, _arrow_row(n, n, n, _leaf, _join)[1:], _leaf(n + 1))[2]
 
 
 def cube_deaf_closed_form(n: int) -> int:
@@ -430,8 +405,7 @@ def cube_deaf_closed_form(n: int) -> int:
     at n = 3 it matches neither (formula 3, scanned surplus 4); reports show
     it next to the scan instead of trusting it.
     """
-    if n < 1:
-        raise InvalidParameterError("dimension must be at least 1")
+    _check_dim(n)
     half = n // 2
     return (math.comb(n, -(-n // 2))
             - sum(comb0(2 * i, i - 1) for i in range(1, half))

@@ -21,24 +21,8 @@ from .errors import (
     NonTerminatingError,
 )
 from .graphs import Graph, bipartition, bits, iter_bits, mask_of, neighborhood
-from .orders import (  # re-exported: these comparisons are part of this module's API
-    grid_compare,
-    grid_key,
-    lex_compare,
-    lex_key,
-    weightlex_compare,
-    weightlex_key,
-)
+from .orders import grid_key, weightlex_key
 from .solver import DEFAULT_ENUM_BUDGET, min_neighborhood_union, union_surplus
-
-__all__ = [
-    "NestOrder", "NestingReport", "lex_compare", "lex_key", "weightlex_compare",
-    "weightlex_key", "grid_compare", "grid_key", "weightlex_nest_order",
-    "weightlex_full_order", "grid_nest_order", "initial_segment",
-    "check_isoperimetric_nesting", "check_closed_nesting", "nest_strategy",
-    "hunter_number_via_nesting", "shot_vertex_lists", "shot_labels",
-    "parse_nest_order", "format_nest_order", "read_nest_order", "write_nest_order",
-]
 
 BIPARTITE = "bipartite"
 FULL = "full"

@@ -35,28 +35,10 @@ def weightlex_key(mask: int, n: int):
     return (mask.bit_count(),) + lex_key(mask, n)
 
 
-def _ordering(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-def lex_compare(x: int, y: int, n: int) -> int:
-    """-1, 0 or 1 as x precedes, equals or follows y in lex order."""
-    return _ordering(lex_key(x, n), lex_key(y, n))
-
-
-def weightlex_compare(x: int, y: int, n: int) -> int:
-    """-1, 0 or 1 as x precedes, equals or follows y in weightlex order."""
-    return _ordering(weightlex_key(x, n), weightlex_key(y, n))
-
-
 def grid_key(cell: tuple[int, int]):
     """Diagonal sweep order on grid cells: by x+y, ties by smaller x."""
     x, y = cell
     return (x + y, x)
-
-
-def grid_compare(p: tuple[int, int], q: tuple[int, int]) -> int:
-    return _ordering(grid_key(p), grid_key(q))
 
 
 def iter_weightlex(ground: tuple[int, ...], parity: int | None = None) -> Iterator[int]:

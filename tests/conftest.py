@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from typing import Iterable, Iterator
 
 from huntrab.graphs import Graph, graph_from_edges
 
@@ -35,6 +36,57 @@ def brute_min_union(g: Graph, k: int, side_vertices: list[int], closed: bool = F
             best = len(union)
     assert best is not None
     return best
+
+
+def iter_arrow(n: int, i: int) -> Iterator[int]:
+    """Reference arrow sequence (n, i), streamed entry by entry from the
+    recursion (n, i) = (n, i-1) . (n-1, i) with an explicit stack."""
+    stack = [(n, i)]
+    while stack:
+        a, b = stack.pop()
+        if b == 0:
+            yield a
+        elif a == 0:
+            yield 0
+        else:
+            stack.append((a - 1, b))
+            stack.append((a, b - 1))
+
+
+def weightlex_coverage(n: int, closed: bool = False, parity: int | None = None) -> Iterator[int]:
+    """Reference neighborhood-union profile of Q^n: covered-vertex counts
+    after adding each open (or closed) neighborhood along the weightlex
+    order, restricted to one side when parity is 0 or 1."""
+    covered = bytearray(1 << n)
+    count = 0
+    for w in range(n + 1):
+        if parity is not None and w % 2 != parity:
+            continue
+        for combo in itertools.combinations(range(n), w):
+            v = 0
+            for b in combo:
+                v |= 1 << b
+            if closed and not covered[v]:
+                covered[v] = 1
+                count += 1
+            for b in range(n):
+                u = v ^ (1 << b)
+                if not covered[u]:
+                    covered[u] = 1
+                    count += 1
+            yield count
+
+
+def max_prefix_surplus(values: Iterable[int]) -> tuple[int, int]:
+    """Last position (1-based) and value of the maximum of prefix sum minus
+    prefix length, scanned entry by entry."""
+    best_pos = best_val = None
+    total = 0
+    for pos, entry in enumerate(values, start=1):
+        total += entry
+        if best_val is None or total - pos >= best_val:
+            best_pos, best_val = pos, total - pos
+    return best_pos, best_val
 
 
 def brute_degeneracy(g: Graph) -> int:

@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from huntrab import cli
-from huntrab.dynamics import Caught, read_strategy, verify
+from huntrab import cli, solver
+from huntrab.dynamics import STANDARD, Caught, Strategy, read_strategy, verify
 from huntrab.graphs import hypercube_graph, read_graph, write_graph
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -106,6 +106,17 @@ def test_solve_witness_reverifies_end_to_end(tmp_path, capsys):
     assert code == 0
     assert verify_report["results"]["outcome"] == "caught"
     assert verify_report["results"]["step"] == report["results"]["witness_caught_at"]
+
+
+def test_solve_escaping_witness_exit_4(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p3.graph"
+    run_cli(capsys, "gen", "path", "3", "-o", str(path))
+    escaping = solver.SolveResult(1, Strategy((1, 1), STANDARD), 0, 1)
+    monkeypatch.setattr(solver, "hunter_number", lambda *args: escaping)
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 4
+    assert "escape" in err
+    assert out == ""
 
 
 def test_bounds_path(tmp_path, capsys):
@@ -233,10 +244,6 @@ def test_cube_hun_and_mismatch_free_subcommands(capsys):
     assert code == 0
     assert report["results"] == {"hunter_number": 5, "scan": 5, "match": "MATCH"}
 
-    code, report = run_json(capsys, "cube", "4", "cumbersome")
-    assert code == 0
-    assert report["results"]["match"] == "MATCH"
-
     code, report = run_json(capsys, "cube", "4", "mun", "2")
     assert code == 0
     assert report["results"]["min_union"] == 6
@@ -277,6 +284,20 @@ def test_cube_deaf_reports_formula_next_to_scan(capsys):
         assert results["hunter_number"] == scan + 1
         assert any("surplus" in w for w in report["warnings"])
         assert (results["match"] == "MATCH") == (formula == scan)
+
+
+def test_cube_flags_keep_their_pattern(capsys):
+    # the deaf closed form matches only at even n; the messlemma value
+    # formula is known wrong while its position formula holds
+    for n in range(2, 61):
+        flags = {sub: run_json(capsys, "cube", str(n), sub)[1]["results"]["match"]
+                 for sub in ("hun", "u", "deaf")}
+        assert flags == {"hun": "MATCH", "u": "MATCH",
+                         "deaf": "MATCH" if n % 2 == 0 else "MISMATCH"}, n
+        code, report = run_json(capsys, "cube", str(n), "messlemma", str(n // 2))
+        assert code == 0
+        assert report["results"]["position_match"] == "MATCH", n
+        assert report["results"]["value_match"] == "MISMATCH", n
 
 
 def test_cube_missing_argument_exit_2(capsys):

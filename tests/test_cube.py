@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from conftest import iter_arrow, max_prefix_surplus, weightlex_coverage
 
+from huntrab import cli
 from huntrab.cube import (
     QUOTED_DIFFSEQ_Q4,
     QUOTED_SURPLUS_Q4,
-    arrow_blocks,
     arrow_len,
     arrow_max_position_formula,
     arrow_max_scan,
@@ -27,7 +28,6 @@ from huntrab.cube import (
     decompose_ij,
     initial_even_segment,
     is_compressed,
-    iter_arrow,
     layer_diff_seq,
     subset_neighborhood,
 )
@@ -54,12 +54,14 @@ def test_comb0_convention():
 
 
 def test_arrow_seq_worked_examples():
-    assert arrow_seq(4, 1).values == (4, 3, 2, 1, 0)
-    assert arrow_seq(3, 2).values == (3, 2, 1, 0, 2, 1, 0, 1, 0, 0)
-    assert arrow_seq(2, 3).values == (2, 1, 0, 1, 0, 0, 1, 0, 0, 0)
-    assert sum(arrow_seq(2, 3).values) == 5
-    assert arrow_seq(5, 0).values == (5,)
-    assert arrow_seq(0, 4).values == (0,)
+    assert arrow_seq(4, 1) == (4, 3, 2, 1, 0)
+    assert arrow_seq(3, 2) == (3, 2, 1, 0, 2, 1, 0, 1, 0, 0)
+    assert arrow_seq(2, 3) == (2, 1, 0, 1, 0, 0, 1, 0, 0, 0)
+    assert sum(arrow_seq(2, 3)) == 5
+    assert arrow_seq(5, 0) == (5,)
+    assert arrow_seq(0, 4) == (0,)
+    with pytest.raises(InvalidParameterError):
+        arrow_seq(-1, 2)
 
 
 def test_arrow_len_and_sum_closed_forms():
@@ -69,7 +71,7 @@ def test_arrow_len_and_sum_closed_forms():
     for n in range(13):
         for i in range(13):
             if n + i <= 16:
-                values = arrow_seq(n, i).values
+                values = arrow_seq(n, i)
                 length, total = len(values), sum(values)
             else:
                 length = total = 0
@@ -83,39 +85,42 @@ def test_arrow_len_and_sum_closed_forms():
 def test_arrow_recursion_identity():
     for n in range(1, 9):
         for i in range(1, 9):
-            assert arrow_seq(n, i).values == arrow_seq(n, i - 1).values + arrow_seq(n - 1, i).values
+            assert arrow_seq(n, i) == arrow_seq(n, i - 1) + arrow_seq(n - 1, i)
 
 
 def test_iter_arrow_matches_materialized():
     for n in range(7):
         for i in range(7):
-            assert tuple(iter_arrow(n, i)) == arrow_seq(n, i).values
+            assert tuple(iter_arrow(n, i)) == arrow_seq(n, i)
 
 
 def test_arrow_blocks_cover_the_sequence():
+    # unrolling the recursion: n^i = n^(i-1) . (n-1)^(i-1) ... 0^(i-1)
     for n in range(1, 8):
         for i in range(1, 6):
-            blocks = arrow_blocks(n, i)
-            assert blocks[0] == (n, i - 1) and blocks[-1] == (0, i - 1)
             joined = ()
-            for k, j in blocks:
-                joined += arrow_seq(k, j).values
-            assert joined == arrow_seq(n, i).values
+            for k in range(n, -1, -1):
+                joined += arrow_seq(k, i - 1)
+            assert joined == arrow_seq(n, i)
 
 
 def test_running_max_stays_in_the_expected_block():
-    # decomposing n^i into k^(i-1) blocks, the last running maximum of
-    # prefix-sum-minus-position falls inside the i^(i-1) block for n > i
+    # decomposing n^i into the k^(i-1) blocks for k = n down to 0, the last
+    # running maximum of prefix-sum-minus-position falls inside the i^(i-1)
+    # block for n > i
     for n in range(2, 11):
         for i in range(1, n):
             pos, _ = arrow_max_scan(n, i)
-            offset = 0
-            for k, j in arrow_blocks(n, i):
-                size = arrow_len(k, j)
-                if k == i:
-                    assert offset < pos <= offset + size, (n, i, pos)
-                    break
-                offset += size
+            offset = sum(arrow_len(k, i - 1) for k in range(n, i, -1))
+            assert offset < pos <= offset + arrow_len(i, i - 1), (n, i, pos)
+
+
+def test_arrow_max_scan_matches_streamed_scan():
+    for n in range(19):
+        for i in range(19 - n):
+            assert arrow_max_scan(n, i) == max_prefix_surplus(iter_arrow(n, i)), (n, i)
+    with pytest.raises(InvalidParameterError):
+        arrow_max_scan(3, -1)
 
 
 def test_max_position_and_value_formulas():
@@ -168,7 +173,7 @@ def test_layer_diff_recursion_at_i2_needs_the_generic_layer1_form():
     # generic arrow form for layer 1 the identity is the arrow recursion
     for n in range(4, 13):
         special = layer_diff_seq(n - 1, 1).values
-        generic = arrow_seq(n - 2, 1).values
+        generic = arrow_seq(n - 2, 1)
         assert special != generic
         assert layer_diff_seq(n, 2).values == generic + layer_diff_seq(n - 1, 2).values
         assert layer_diff_seq(n, 2).values != special + layer_diff_seq(n - 1, 2).values
@@ -192,6 +197,16 @@ def test_cube_min_union_and_surplus():
     assert cube_surplus(4) != QUOTED_SURPLUS_Q4
     with pytest.raises(InvalidParameterError):
         cube_min_union(3, 5, "even")
+
+
+def test_diff_seq_and_surplus_match_coverage_oracle():
+    for n in range(1, 11):
+        for parity, side in enumerate(("even", "odd")):
+            covered = tuple(weightlex_coverage(n, parity=parity))
+            assert cube_diff_seq(n, side).prefix_sums() == covered, (n, side)
+    for n in range(1, 19):
+        covered = weightlex_coverage(n, parity=0)
+        assert cube_surplus(n) == max(c - k for k, c in enumerate(covered, start=1)), n
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +332,13 @@ def test_deaf_closed_profile_q3():
     assert cube_deaf_closed_profile(2) == (3, 4, 4, 4)
 
 
+def test_deaf_profile_and_surplus_match_coverage_oracle():
+    for n in range(1, 17):
+        profile = tuple(weightlex_coverage(n, closed=True))
+        assert cube_deaf_closed_profile(n) == profile, n
+        assert cube_deaf_surplus(n) == max(c - k for k, c in enumerate(profile, start=1)), n
+
+
 def test_deaf_surplus_scan_values():
     assert cube_deaf_surplus(2) == 2
     assert cube_deaf_surplus(3) == 4
@@ -339,8 +361,7 @@ def test_deaf_scan_matches_exact_solver():
         assert hunter_number(hypercube_graph(n), DEAF).hunter_number == cube_deaf_surplus(n) + 1
 
 
-def test_scan_dimension_capacity():
+def test_scan_dimension_capacity(capsys):
     with pytest.raises(InvalidParameterError):
         cube_deaf_surplus(0)
-    with pytest.raises(InvalidParameterError):
-        cube_deaf_surplus(25)
+    assert cli.main(["--json", "cube", "600", "deaf"]) == 0

@@ -25,19 +25,16 @@ from huntrab.nesting import (
     check_closed_nesting,
     check_isoperimetric_nesting,
     format_nest_order,
-    grid_compare,
     grid_nest_order,
     hunter_number_via_nesting,
     initial_segment,
-    lex_compare,
     nest_strategy,
     parse_nest_order,
     shot_labels,
-    weightlex_compare,
     weightlex_full_order,
-    weightlex_key,
     weightlex_nest_order,
 )
+from huntrab.orders import grid_key, lex_key, weightlex_key
 from huntrab.solver import hunter_number
 
 from test_dynamics import Q4_SHOT_LABELS
@@ -52,12 +49,11 @@ def subset(*elements: int) -> int:
 
 
 def test_lex_order_on_three_elements():
-    assert lex_compare(subset(1, 2, 3), subset(1, 2), 3) < 0
-    assert lex_compare(subset(1), subset(2, 3), 3) < 0
-    assert lex_compare(subset(2), subset(2), 3) == 0
+    assert lex_key(subset(1, 2, 3), 3) < lex_key(subset(1, 2), 3)
+    assert lex_key(subset(1), 3) < lex_key(subset(2, 3), 3)
+    assert len({lex_key(v, 3) for v in range(8)}) == 8
     expected = [subset(1, 2, 3), subset(1, 2), subset(1, 3), subset(1),
                 subset(2, 3), subset(2), subset(3), 0]
-    from huntrab.orders import lex_key
     assert sorted(range(8), key=lambda v: lex_key(v, 3)) == expected
 
 
@@ -65,8 +61,8 @@ def test_weightlex_order_on_three_elements():
     assert sorted(range(8), key=lambda v: weightlex_key(v, 3)) == [
         0, subset(1), subset(2), subset(3),
         subset(1, 2), subset(1, 3), subset(2, 3), subset(1, 2, 3)]
-    assert weightlex_compare(0, subset(1), 3) < 0
-    assert weightlex_compare(subset(1, 3), subset(2, 3), 4) < 0
+    assert weightlex_key(0, 3) < weightlex_key(subset(1), 3)
+    assert weightlex_key(subset(1, 3), 4) < weightlex_key(subset(2, 3), 4)
 
 
 def test_weightlex_nest_order_q3():
@@ -76,9 +72,9 @@ def test_weightlex_nest_order_q3():
 
 
 def test_grid_compare_rule():
-    assert grid_compare((0, 0), (0, 1)) < 0
-    assert grid_compare((0, 1), (1, 0)) < 0  # same diagonal: smaller x first
-    assert grid_compare((2, 0), (0, 3)) < 0
+    assert grid_key((0, 0)) < grid_key((0, 1))
+    assert grid_key((0, 1)) < grid_key((1, 0))  # same diagonal: smaller x first
+    assert grid_key((2, 0)) < grid_key((0, 3))
 
 
 def test_initial_segment():
