@@ -12,7 +12,7 @@ import argparse
 from huntrab.dynamics import DEAF, STANDARD, Caught, verify
 from huntrab.errors import BudgetExceededError
 from huntrab.graphs import cycle_graph, grid_graph, hypercube_graph, path_graph, star_graph
-from huntrab.solver import hunter_number
+from huntrab.solver import DEFAULT_BUDGET, hunter_number
 
 
 def instances():
@@ -31,7 +31,7 @@ def instances():
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--deaf", action="store_true")
-    parser.add_argument("--budget", type=int, default=2_000_000)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args()
     variant = DEAF if args.deaf else STANDARD
 
@@ -40,8 +40,7 @@ def main() -> None:
         try:
             result = hunter_number(g, variant, args.budget)
         except BudgetExceededError as exc:
-            print(f"{name:<12} {'?':>8} {exc.best_lower_bound or '?':>6} "
-                  f"{exc.explored:>9} {'budget':>8}")
+            print(f"{name:<12} {'?':>8} {exc.best_lower_bound:>6} {'-':>9} {'budget':>8}")
             continue
         ok = isinstance(verify(g, result.witness), Caught)
         print(f"{name:<12} {result.hunter_number:>8} {result.lower_bound_used:>6} "

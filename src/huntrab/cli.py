@@ -2,8 +2,9 @@
 
 Every invocation produces one report: a flat human-readable rendering by
 default, or a single JSON document with --json.  Both renderings carry the
-same values.  Exit codes: 0 success, 2 usage or parse error, 3 search budget
-exceeded, 4 verification found an escape.
+same values.  Exit codes: 0 success, 2 usage or parse error, 3 work budget
+exceeded (stderr names the phase and the best lower bound), 4 verification
+found an escape.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ SCHEMA_VERSION = 1
 USAGE_ERRORS = (InvalidParameterError, CapacityError, FormatError, HomomorphismError,
                 InapplicableError, InvalidOrderError, InvalidStrategyError,
                 NonTerminatingError)
+
+BUDGET_HELP = "work budget: subsets enumerated plus search successors generated"
 
 FAMILIES = {
     "path": (1, graphs.path_graph),
@@ -141,10 +144,11 @@ def _cmd_solve(args) -> tuple[dict | None, int]:
 def _cmd_bounds(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
     mode = "closed" if args.deaf else "open"
+    degeneracy = solver.lower_bound_degeneracy(g)
     results = {
         "mode": mode,
-        "union_bound": solver.lower_bound_union(g, mode, args.enum_budget),
-        "degeneracy_bound": solver.lower_bound_degeneracy(g),
+        "union_bound": solver.lower_bound_union(g, mode, solver.Meter(args.budget, degeneracy)),
+        "degeneracy_bound": degeneracy,
     }
     dim = _looks_like_hypercube(g)
     if dim is not None and dim >= 1 and not args.deaf:
@@ -171,10 +175,11 @@ def _cmd_strategy(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     order = _resolve_order(args, g)
+    meter = solver.Meter(solver.DEFAULT_BUDGET, solver.lower_bound_degeneracy(g))
     m = args.hunters
     if m is None:
-        m = nesting.hunter_number_via_nesting(g, order)
-    strategy = nesting.nest_strategy(g, order, m, variant)
+        m = nesting.hunter_number_via_nesting(g, order, meter)
+    strategy = nesting.nest_strategy(g, order, m, variant, meter)
     results = {
         "variant": variant,
         "hunters": m,
@@ -325,15 +330,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact hunter number with witness strategy")
     p.add_argument("graph")
     p.add_argument("--deaf", action="store_true", help="deaf-rabbit (closed) variant")
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_SEARCH_BUDGET,
-                   help="max search states to expand")
+    p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--strategy-out", help="also write the witness strategy to this path")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bounds", help="lower bounds (and upper bound for labeled hypercubes)")
     p.add_argument("graph")
     p.add_argument("--deaf", action="store_true")
-    p.add_argument("--enum-budget", type=int, default=solver.DEFAULT_ENUM_BUDGET)
+    p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET, help=BUDGET_HELP)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("strategy", help="build a nest-order strategy")
@@ -375,9 +379,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BudgetExceededError as exc:
         print(f"huntrab {args.command}: {exc}", file=sys.stderr)
-        if exc.best_lower_bound is not None:
-            print(f"huntrab {args.command}: best lower bound found: {exc.best_lower_bound}",
-                  file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"huntrab {args.command}: {exc}", file=sys.stderr)

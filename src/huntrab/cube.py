@@ -94,14 +94,6 @@ def _join(x: _Summary, y: _Summary) -> _Summary:
     return (length + y_length, total + y_total, best, pos)
 
 
-def arrow_seq(n: int, i: int) -> tuple[int, ...]:
-    """The sequence with bases n^0 = (n), 0^i = (0) and
-    n^i = n^(i-1) . (n-1)^i under concatenation."""
-    if n < 0 or i < 0:
-        raise InvalidParameterError("arrow sequence indices must be non-negative")
-    return _arrow_row(n + i, n, i, _single, operator.add)[0]
-
-
 def arrow_len(n: int, i: int) -> int:
     """Length of the (n, i) arrow sequence: comb(n+i, i)."""
     return math.comb(n + i, i)
@@ -151,7 +143,7 @@ class DiffSeq:
     """First differences of a neighborhood-union profile of Q^n."""
 
     n: int
-    scope: str  # "even", "odd" or "layer-<i>"
+    side: str  # "even" or "odd"
     values: tuple[int, ...]
 
     def prefix_sums(self) -> tuple[int, ...]:
@@ -163,34 +155,22 @@ class DiffSeq:
         return tuple(out)
 
 
-def _layer_values(n: int) -> list[tuple[int, ...]]:
-    """Difference subsequences of the weight layers 0..n of Q^n.
+def cube_diff_seq(n: int, side: str = "even") -> DiffSeq:
+    """Difference sequence of the whole even or odd side of Q^n: the
+    subsequences of its weight layers in order.
 
     Layer i is the arrow sequence (n-i, i), except that layer 1's first
     vertex is the only one whose neighborhood reaches down to a vertex (the
     empty set) not covered earlier in the scan, so its leading entry is n
     instead of n-1.
     """
-    layers = _arrow_row(n, n, n, _single, operator.add)
-    if n >= 1:
-        layers[1] = (n,) + layers[1][1:]
-    return layers
-
-
-def layer_diff_seq(n: int, i: int) -> DiffSeq:
-    """Difference subsequence contributed by weight layer i of Q^n."""
-    if not 0 <= i <= n:
-        raise InvalidParameterError(f"layer {i} out of range 0..{n}")
-    return DiffSeq(n, f"layer-{i}", _layer_values(n)[i])
-
-
-def cube_diff_seq(n: int, side: str = "even") -> DiffSeq:
-    """Difference sequence of the whole even or odd side of Q^n."""
     _check_dim(n)
     if side not in ("even", "odd"):
         raise InvalidParameterError(f"side must be even or odd, not {side!r}")
+    layers = _arrow_row(n, n, n, _single, operator.add)
+    layers[1] = (n,) + layers[1][1:]
     parity = 0 if side == "even" else 1
-    return DiffSeq(n, side, tuple(chain.from_iterable(_layer_values(n)[parity::2])))
+    return DiffSeq(n, side, tuple(chain.from_iterable(layers[parity::2])))
 
 
 def cube_min_union(n: int, k: int, side: str = "even") -> int:

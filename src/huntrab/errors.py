@@ -49,9 +49,11 @@ class InapplicableError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A search or enumeration ran past its work budget."""
+    """A call ran past its work budget (see solver.Meter)."""
 
-    def __init__(self, message: str, explored: int = 0, best_lower_bound: int | None = None):
-        super().__init__(message)
-        self.explored = explored
+    def __init__(self, phase: str, spent: int, best_lower_bound: int, limit: int):
+        super().__init__(f"work budget of {limit} units exceeded in the {phase} phase "
+                         f"after {spent} units; best lower bound {best_lower_bound}")
+        self.phase = phase
+        self.spent = spent
         self.best_lower_bound = best_lower_bound

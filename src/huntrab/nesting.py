@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graphs import Graph, bipartition, bits, iter_bits, mask_of, neighborhood
 from .orders import grid_key, weightlex_key
-from .solver import DEFAULT_ENUM_BUDGET, min_neighborhood_union, union_surplus
+from .solver import DEFAULT_BUDGET, Meter, as_meter, min_union_profile, union_surplus
 
 BIPARTITE = "bipartite"
 FULL = "full"
@@ -115,6 +115,7 @@ def grid_nest_order(m: int, n: int) -> NestOrder:
 class NestingReport:
     ok: bool
     violations: tuple[tuple[str, int, str], ...]
+    surpluses: dict[str, int]  # side -> max over k of the brute-force minimum minus k
 
 
 def _bind_bipartite(g: Graph, order: NestOrder) -> None:
@@ -128,36 +129,40 @@ def _bind_bipartite(g: Graph, order: NestOrder) -> None:
 
 
 def check_isoperimetric_nesting(g: Graph, order: NestOrder,
-                                budget: int = DEFAULT_ENUM_BUDGET) -> NestingReport:
+                                budget: int | Meter = DEFAULT_BUDGET) -> NestingReport:
     """Check, for every k on both sides, that the neighborhood of the initial
     segment is an initial segment of the other side and achieves the
     brute-force minimum.  Lists every violated (side, k)."""
     _bind_bipartite(g, order)
+    meter = as_meter(budget)
     violations: list[tuple[str, int, str]] = []
+    surpluses: dict[str, int] = {}
     for side, other in (("even", "odd"), ("odd", "even")):
         seq = order.sequence(side)
         other_seq = order.sequence(other)
-        for k in range(1, len(seq) + 1):
+        profile = min_union_profile(g, side, "open", meter)
+        surpluses[side] = profile.surplus()
+        for k, minimum in enumerate(profile.values, start=1):
             nb = neighborhood(g, mask_of(seq[:k]))
             size = nb.bit_count()
             if nb != mask_of(other_seq[:size]):
                 violations.append((side, k, "neighborhood of the segment is not an initial segment"))
-            minimum = min_neighborhood_union(g, k, side, "open", budget)
             if size != minimum:
                 violations.append((side, k, f"segment neighborhood has {size} vertices, minimum is {minimum}"))
-    return NestingReport(not violations, tuple(violations))
+    return NestingReport(not violations, tuple(violations), surpluses)
 
 
 def check_closed_nesting(g: Graph, order: NestOrder,
-                         budget: int = DEFAULT_ENUM_BUDGET) -> NestingReport:
+                         budget: int | Meter = DEFAULT_BUDGET) -> NestingReport:
     """Check the four chain conditions of closed nesting for every prefix."""
     if order.kind != FULL:
         raise InvalidParameterError("expected a full-kind order")
     if mask_of(order.order_all) != g.full_mask:
         raise InvalidOrderError("order is not a permutation of the vertices")
     seq = order.order_all
+    profile = min_union_profile(g, "all", "closed", budget)
     violations: list[tuple[str, int, str]] = []
-    for i in range(1, len(seq) + 1):
+    for i, minimum in enumerate(profile.values, start=1):
         seg = mask_of(seq[:i])
         if seg.bit_count() != i:
             violations.append(("all", i, "segment size mismatch"))
@@ -165,12 +170,11 @@ def check_closed_nesting(g: Graph, order: NestOrder,
             violations.append(("all", i, "segments are not nested"))
         nb = neighborhood(g, seg, closed=True)
         size = nb.bit_count()
-        minimum = min_neighborhood_union(g, i, "all", "closed", budget)
         if size != minimum:
             violations.append(("all", i, f"closed neighborhood has {size} vertices, minimum is {minimum}"))
         if nb != mask_of(seq[:size]):
             violations.append(("all", i, "closed neighborhood is not an initial segment"))
-    return NestingReport(not violations, tuple(violations))
+    return NestingReport(not violations, tuple(violations), {"all": profile.surplus()})
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +188,8 @@ def _tail_shot(seq: tuple[int, ...], r: int, m: int) -> int:
     return mask_of(seq[max(0, top - m):top])
 
 
-def nest_strategy(g: Graph, order: NestOrder, m: int, variant: str = STANDARD) -> Strategy:
+def nest_strategy(g: Graph, order: NestOrder, m: int, variant: str = STANDARD,
+                  budget: int | Meter = DEFAULT_BUDGET) -> Strategy:
     """Shoot the last m nest-ordered vertices of the position set each round.
 
     For the standard variant the order must be bipartite-kind; the strategy
@@ -203,8 +208,9 @@ def nest_strategy(g: Graph, order: NestOrder, m: int, variant: str = STANDARD) -
         if order.kind != BIPARTITE:
             raise InvalidParameterError("standard variant takes a bipartite-kind order")
         _bind_bipartite(g, order)
-        u_even = union_surplus(g, "even", "open")
-        u_odd = union_surplus(g, "odd", "open")
+        meter = as_meter(budget)
+        u_even = union_surplus(g, "even", "open", meter)
+        u_odd = union_surplus(g, "odd", "open", meter)
         side = "even" if u_even <= u_odd else "odd"
     else:
         if order.kind != FULL:
@@ -234,7 +240,7 @@ def nest_strategy(g: Graph, order: NestOrder, m: int, variant: str = STANDARD) -
 
 
 def hunter_number_via_nesting(g: Graph, order: NestOrder,
-                              budget: int = DEFAULT_ENUM_BUDGET) -> int:
+                              budget: int | Meter = DEFAULT_BUDGET) -> int:
     """Hunter number from a verified nest order.
 
     Bipartite kind: checks isoperimetric nesting and that the two side
@@ -246,8 +252,7 @@ def hunter_number_via_nesting(g: Graph, order: NestOrder,
         if not report.ok:
             raise InvalidOrderError(
                 f"order is not an isoperimetric nesting; first violation {report.violations[0]}")
-        u_even = union_surplus(g, "even", "open", budget)
-        u_odd = union_surplus(g, "odd", "open", budget)
+        u_even, u_odd = report.surpluses["even"], report.surpluses["odd"]
         if abs(u_even - u_odd) > 1:
             raise InapplicableError(
                 f"side surpluses differ by more than one (even {u_even}, odd {u_odd})",
@@ -257,7 +262,7 @@ def hunter_number_via_nesting(g: Graph, order: NestOrder,
     if not report.ok:
         raise InvalidOrderError(
             f"order is not a closed nesting; first violation {report.violations[0]}")
-    return union_surplus(g, "all", "closed", budget) + 1
+    return report.surpluses["all"] + 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,20 +13,42 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .dynamics import DEAF, STANDARD, Strategy, step
+from .dynamics import DEAF, STANDARD, Strategy
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import Graph, bipartition, bits, components, degeneracy, induced_subgraph, mask_of
 
-DEFAULT_SEARCH_BUDGET = 10**7
-DEFAULT_ENUM_BUDGET = 10**7
+# Work units: one per subset the union enumeration visits, one per successor
+# candidate the search generates.  Grid 5x5 solves in 36,477,063 units.
+DEFAULT_BUDGET = 10**8
 
 SIDES = ("all", "even", "odd")
 MODES = ("open", "closed")
 
 CLEARED = "cleared"
 BLOCKED = "blocked"
-BUDGET = "budget"
+
+
+@dataclass
+class Meter:
+    """One work budget shared by every phase of a call.  Work is charged in
+    full before it starts, so a refusal comes before the work it refuses;
+    ``lower_bound`` is the best hunter count proved so far."""
+
+    limit: int = DEFAULT_BUDGET
+    lower_bound: int = 0
+    spent: int = 0
+
+    def spend(self, units: int, phase: str) -> None:
+        if self.spent + units > self.limit:
+            raise BudgetExceededError(phase, self.spent, self.lower_bound, self.limit)
+        self.spent += units
+
+
+def as_meter(budget: int | Meter) -> Meter:
+    """The caller's meter, or a fresh one holding an int budget."""
+    return budget if isinstance(budget, Meter) else Meter(budget)
 
 
 def _side_vertices(g: Graph, side: str) -> list[int]:
@@ -49,23 +71,20 @@ def _contributions(g: Graph, mode: str) -> list[int]:
 
 
 def min_neighborhood_union(g: Graph, k: int, side: str = "all", mode: str = "open",
-                           budget: int = DEFAULT_ENUM_BUDGET) -> int:
+                           budget: int | Meter = DEFAULT_BUDGET) -> int:
     """Smallest |N(W)| (or |N[W]| for closed mode) over W in the side with |W| = k.
 
-    Exact, by lexicographic enumeration of all k-subsets; a partial union
-    already at the best known size prunes the rest of that subset.
+    Exact, by lexicographic enumeration of all k-subsets, charged as
+    C(|side|, k) units; a partial union already at the best known size
+    prunes the rest of that subset.
     """
     vertices = _side_vertices(g, side)
     if not 1 <= k <= len(vertices):
         raise InvalidParameterError(f"k={k} out of range 1..{len(vertices)}")
+    as_meter(budget).spend(comb(len(vertices), k), "bound")
     contrib = _contributions(g, mode)
     best = g.n + 1
-    seen = 0
     for combo in combinations(vertices, k):
-        seen += 1
-        if seen > budget:
-            raise BudgetExceededError(
-                f"neighborhood-union enumeration exceeded {budget} subsets", explored=seen)
         union = 0
         size = 0
         for v in combo:
@@ -80,20 +99,11 @@ def min_neighborhood_union(g: Graph, k: int, side: str = "all", mode: str = "ope
 
 @dataclass(frozen=True)
 class UnionProfile:
-    """min_neighborhood_union for every k on one side, plus first differences."""
+    """min_neighborhood_union for every k on one side."""
 
     side: str
     mode: str
     values: tuple[int, ...]
-
-    @property
-    def diffs(self) -> tuple[int, ...]:
-        prev = 0
-        out = []
-        for v in self.values:
-            out.append(v - prev)
-            prev = v
-        return tuple(out)
 
     def surplus(self) -> int:
         """max over k of values[k] - k (k is 1-based); 0 for an empty side."""
@@ -101,15 +111,20 @@ class UnionProfile:
 
 
 def min_union_profile(g: Graph, side: str = "all", mode: str = "open",
-                      budget: int = DEFAULT_ENUM_BUDGET) -> UnionProfile:
+                      budget: int | Meter = DEFAULT_BUDGET) -> UnionProfile:
+    """min_neighborhood_union for k = 1..|side|.  Only the whole profile
+    gives a surplus, so all of it, 2^|side| - 1 subsets, is charged before
+    any k is enumerated; each k then runs within what was paid."""
     vertices = _side_vertices(g, side)
-    values = tuple(min_neighborhood_union(g, k, side, mode, budget)
+    total = (1 << len(vertices)) - 1
+    as_meter(budget).spend(total, "bound")
+    values = tuple(min_neighborhood_union(g, k, side, mode, total)
                    for k in range(1, len(vertices) + 1))
     return UnionProfile(side, mode, values)
 
 
 def union_surplus(g: Graph, side: str = "all", mode: str = "open",
-                  budget: int = DEFAULT_ENUM_BUDGET) -> int:
+                  budget: int | Meter = DEFAULT_BUDGET) -> int:
     """max over k of min_neighborhood_union(k) - k.
 
     One more hunter than this is needed before the possible-position count
@@ -118,7 +133,7 @@ def union_surplus(g: Graph, side: str = "all", mode: str = "open",
     return min_union_profile(g, side, mode, budget).surplus()
 
 
-def lower_bound_union(g: Graph, mode: str = "open", budget: int = DEFAULT_ENUM_BUDGET) -> int:
+def lower_bound_union(g: Graph, mode: str = "open", budget: int | Meter = DEFAULT_BUDGET) -> int:
     """Least hunter count not excluded by the neighborhood-union argument."""
     if g.n == 0:
         return 0
@@ -162,7 +177,7 @@ def _witness(parents: dict[int, tuple[int, int]], state: int) -> tuple[int, ...]
 
 
 def can_clear(g: Graph, k: int, variant: str = STANDARD,
-              budget: int = DEFAULT_SEARCH_BUDGET) -> ClearResult:
+              budget: int | Meter = DEFAULT_BUDGET) -> ClearResult:
     """Decide whether k hunters can clear g, with a shot-sequence witness.
 
     Breadth-first search over position sets starting from V(G).  A generated
@@ -170,12 +185,14 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     clearing from the superset also clears the subset (the dynamics are
     monotone), so the subset's subtree already covers it and no shorter
     witness is lost.  Deterministic: FIFO expansion, shots generated in
-    lexicographic vertex order.
+    lexicographic vertex order.  Expanding state R is charged C(|R|, k)
+    units, one per successor candidate.
     """
     if k < 1:
         raise InvalidParameterError("hunter count must be at least 1")
     if variant not in (STANDARD, DEAF):
         raise InvalidParameterError(f"unknown variant {variant!r}")
+    meter = as_meter(budget)
     start = g.full_mask
     if start == 0:
         return ClearResult(CLEARED, (), 0)
@@ -187,11 +204,10 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     while queue:
         state = queue.popleft()
         explored += 1
-        if explored > budget:
-            return ClearResult(BUDGET, None, explored)
         vs = bits(state)
         if len(vs) <= k:
             return ClearResult(CLEARED, _witness(parents, state) + (state,), explored)
+        meter.spend(comb(len(vs), k), "search")
         # choose the k shot vertices = choose the |state|-k that remain
         for kept in combinations(vs, len(vs) - k):
             nxt = 0
@@ -217,43 +233,34 @@ class SolveResult:
 
 
 def hunter_number(g: Graph, variant: str = STANDARD,
-                  budget: int = DEFAULT_SEARCH_BUDGET) -> SolveResult:
+                  budget: int | Meter = DEFAULT_BUDGET) -> SolveResult:
     """Exact hunter number with a verifying witness strategy.
 
     Each component is solved separately, iterating the hunter count upward
     from the larger of the degeneracy and neighborhood-union bounds; the
     final answer is the max over components and the witness plays the
     per-component witnesses in sequence (a cleared component stays empty
-    while later components are driven).
+    while later components are driven).  One budget covers the bounds and
+    the searches of every component; when it runs out, the error carries
+    the best hunter count proved so far.
     """
+    meter = as_meter(budget)
     mode = "open" if variant == STANDARD else "closed"
-    comps = components(g)
-    answer = 0
-    bound_used = 0
-    explored_total = 0
+    answer = bound_used = explored_total = 0
     all_shots: list[int] = []
-    for comp in comps:
+    for comp in components(g):
         sub, old = induced_subgraph(g, comp)
-        comp_bound = max(1, lower_bound_degeneracy(sub), lower_bound_union(sub, mode))
-        bound_used = max(bound_used, comp_bound)
-        k = comp_bound
+        k = max(1, lower_bound_degeneracy(sub))
+        meter.lower_bound = max(meter.lower_bound, k)
+        k = max(k, lower_bound_union(sub, mode, meter))
+        bound_used = max(bound_used, k)
         while True:
-            remaining = budget - explored_total
-            if remaining <= 0:
-                raise BudgetExceededError(
-                    f"search budget {budget} exhausted before clearing a component with {k} hunters",
-                    explored=explored_total, best_lower_bound=max(answer, comp_bound))
-            result = can_clear(sub, k, variant, remaining)
+            meter.lower_bound = max(meter.lower_bound, k)
+            result = can_clear(sub, k, variant, meter)
             explored_total += result.explored
-            if result.status == BUDGET:
-                raise BudgetExceededError(
-                    f"search budget {budget} exhausted while trying {k} hunters",
-                    explored=explored_total, best_lower_bound=max(answer, comp_bound))
-            if result.status == CLEARED:
-                assert result.shots is not None
-                all_shots.extend(mask_of(old[v] for v in bits(shot)) for shot in result.shots)
-                answer = max(answer, k)
+            if result.shots is not None:
                 break
-            comp_bound = k + 1  # exhausted: k hunters provably insufficient
-            k += 1
+            k += 1  # blocked: k hunters provably insufficient
+        all_shots.extend(mask_of(old[v] for v in bits(shot)) for shot in result.shots)
+        answer = max(answer, k)
     return SolveResult(answer, Strategy(tuple(all_shots), variant), explored_total, bound_used)

@@ -53,6 +53,32 @@ def iter_arrow(n: int, i: int) -> Iterator[int]:
             stack.append((a, b - 1))
 
 
+def arrow_seq(n: int, i: int) -> tuple[int, ...]:
+    """Reference arrow sequence (n, i), materialised."""
+    return tuple(iter_arrow(n, i))
+
+
+def layer_diff_seq(n: int, i: int) -> tuple[int, ...]:
+    """Reference difference subsequence of weight layer i of Q^n: the arrow
+    sequence (n-i, i), except that layer 1's first vertex also covers the
+    empty set below it, so its leading entry is n instead of n-1."""
+    values = arrow_seq(n - i, i)
+    return (n,) + values[1:] if i == 1 else values
+
+
+def arrow_len_sum(n: int, i: int) -> tuple[int, int]:
+    """Reference (length, sum) of the arrow sequence (n, i): the defining
+    recursion applied to (length, sum) pairs instead of sequences, over the
+    table of all (a, b) with a <= n and b <= i."""
+    table = {(a, 0): (1, a) for a in range(n + 1)}
+    table.update({(0, b): (1, 0) for b in range(1, i + 1)})
+    for a in range(1, n + 1):
+        for b in range(1, i + 1):
+            (len1, sum1), (len2, sum2) = table[a, b - 1], table[a - 1, b]
+            table[a, b] = (len1 + len2, sum1 + sum2)
+    return table[n, i]
+
+
 def weightlex_coverage(n: int, closed: bool = False, parity: int | None = None) -> Iterator[int]:
     """Reference neighborhood-union profile of Q^n: covered-vertex counts
     after adding each open (or closed) neighborhood along the weightlex

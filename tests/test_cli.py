@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -94,6 +97,43 @@ def test_solve_budget_exit_3(tmp_path, capsys):
     assert code == 3
     assert "budget" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("family, params, best", [("grid", ("5", "5"), 2),
+                                                  ("hypercube", ("5",), 5)])
+def test_small_budget_exits_quickly_with_phase_and_bound(tmp_path, capsys, family, params, best):
+    path = tmp_path / "g.graph"
+    run_cli(capsys, "gen", family, *params, "-o", str(path))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "solve", str(path), "--budget", "1000")
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == ""
+    assert "bound phase" in err
+    assert f"best lower bound {best}" in err  # the degeneracy, which costs no budget
+
+
+def test_bounds_budget_exit_3(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    run_cli(capsys, "gen", "grid", "4", "4", "-o", str(path))
+    code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "10")
+    assert code == 3 and out == ""
+    assert "bound phase" in err and "best lower bound 2" in err
+    code, _, _ = run_cli(capsys, "bounds", str(path), "--budget", str(2**16 - 1))
+    assert code == 0
+
+
+def test_exit_codes_hold_under_python_O(tmp_path, capsys):
+    path = tmp_path / "c5.graph"
+    run_cli(capsys, "gen", "cycle", "5", "-o", str(path))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def solve(*extra) -> int:
+        argv = [sys.executable, "-O", "-m", "huntrab.cli", "solve", str(path), *extra]
+        return subprocess.run(argv, env=env, capture_output=True, timeout=60).returncode
+
+    assert solve("--budget", "1") == 3
+    assert solve() == 0
 
 
 def test_solve_witness_reverifies_end_to_end(tmp_path, capsys):

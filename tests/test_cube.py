@@ -1,7 +1,16 @@
+import functools
+import math
 import random
 
 import pytest
-from conftest import iter_arrow, max_prefix_surplus, weightlex_coverage
+from conftest import (
+    arrow_len_sum,
+    arrow_seq,
+    iter_arrow,
+    layer_diff_seq,
+    max_prefix_surplus,
+    weightlex_coverage,
+)
 
 from huntrab import cli
 from huntrab.cube import (
@@ -11,7 +20,6 @@ from huntrab.cube import (
     arrow_max_position_formula,
     arrow_max_scan,
     arrow_max_value_formula,
-    arrow_seq,
     arrow_sum,
     comb0,
     compress_fully,
@@ -28,7 +36,6 @@ from huntrab.cube import (
     decompose_ij,
     initial_even_segment,
     is_compressed,
-    layer_diff_seq,
     subset_neighborhood,
 )
 from huntrab.errors import InvalidParameterError
@@ -40,6 +47,27 @@ def subset(*elements: int) -> int:
     for e in elements:
         out |= 1 << (e - 1)
     return out
+
+
+def cube_layer(n: int, i: int) -> tuple[int, ...]:
+    """Weight layer i of Q^n as the library lays it out: a slice of the
+    difference sequence of the side that holds the layer."""
+    start = sum(math.comb(n, j) for j in range(i % 2, i, 2))
+    values = cube_diff_seq(n, "odd" if i % 2 else "even").values
+    return values[start:start + math.comb(n, i)]
+
+
+@functools.cache
+def deaf_diffs(n: int) -> tuple[int, ...]:
+    profile = (0,) + cube_deaf_closed_profile(n)
+    return tuple(b - a for a, b in zip(profile, profile[1:]))
+
+
+def deaf_layer(n: int, i: int) -> tuple[int, ...]:
+    """Layer i >= 1 of the first differences of the library's closed
+    profile of Q^n, which is the arrow sequence (n-i, i)."""
+    start = sum(math.comb(n, j) for j in range(i))
+    return deaf_diffs(n)[start:start + math.comb(n, i)]
 
 
 def test_comb0_convention():
@@ -61,7 +89,7 @@ def test_arrow_seq_worked_examples():
     assert arrow_seq(5, 0) == (5,)
     assert arrow_seq(0, 4) == (0,)
     with pytest.raises(InvalidParameterError):
-        arrow_seq(-1, 2)
+        arrow_max_scan(-1, 2)
 
 
 def test_arrow_len_and_sum_closed_forms():
@@ -74,24 +102,23 @@ def test_arrow_len_and_sum_closed_forms():
                 values = arrow_seq(n, i)
                 length, total = len(values), sum(values)
             else:
-                length = total = 0
-                for v in iter_arrow(n, i):
-                    length += 1
-                    total += v
+                length, total = arrow_len_sum(n, i)
             assert length == arrow_len(n, i), (n, i)
             assert total == arrow_sum(n, i), (n, i)
 
 
 def test_arrow_recursion_identity():
+    # on the library's sequences: layer i of the closed profile of Q^(n+i)
     for n in range(1, 9):
-        for i in range(1, 9):
-            assert arrow_seq(n, i) == arrow_seq(n, i - 1) + arrow_seq(n - 1, i)
+        assert deaf_layer(n + 1, 1) == (n,) + deaf_layer(n, 1)
+        for i in range(2, 9):
+            assert deaf_layer(n + i, i) == deaf_layer(n + i - 1, i - 1) + deaf_layer(n + i - 1, i)
 
 
 def test_iter_arrow_matches_materialized():
-    for n in range(7):
-        for i in range(7):
-            assert tuple(iter_arrow(n, i)) == arrow_seq(n, i)
+    for n in range(1, 13):
+        for i in range(1, n + 1):
+            assert tuple(iter_arrow(n - i, i)) == deaf_layer(n, i), (n, i)
 
 
 def test_arrow_blocks_cover_the_sequence():
@@ -143,28 +170,26 @@ def test_position_formula_matches_scan_widely():
 
 
 def test_layer_diff_seq_examples():
-    assert layer_diff_seq(7, 2).values == (
+    assert cube_layer(7, 2) == layer_diff_seq(7, 2) == (
         5, 4, 3, 2, 1, 0, 4, 3, 2, 1, 0, 3, 2, 1, 0, 2, 1, 0, 1, 0, 0)
-    assert layer_diff_seq(5, 1).values == (5, 3, 2, 1, 0)
-    assert layer_diff_seq(4, 0).values == (4,)
-    assert layer_diff_seq(1, 1).values == (1,)
+    assert cube_layer(5, 1) == layer_diff_seq(5, 1) == (5, 3, 2, 1, 0)
+    assert cube_layer(4, 0) == layer_diff_seq(4, 0) == (4,)
+    assert cube_layer(1, 1) == layer_diff_seq(1, 1) == (1,)
     with pytest.raises(InvalidParameterError):
-        layer_diff_seq(3, 4)
+        cube_diff_seq(3, "layer-1")
 
 
 def test_layer_diff_lengths_match_layer_sizes():
-    import math
-
     for n in range(1, 13):
         for i in range(n + 1):
-            assert len(layer_diff_seq(n, i).values) == math.comb(n, i)
+            assert len(layer_diff_seq(n, i)) == math.comb(n, i)
+            assert cube_layer(n, i) == layer_diff_seq(n, i), (n, i)
 
 
 def test_layer_diff_recursion_identity():
     for n in range(4, 13):
         for i in range(3, n):
-            assert layer_diff_seq(n, i).values == (
-                layer_diff_seq(n - 1, i - 1).values + layer_diff_seq(n - 1, i).values)
+            assert cube_layer(n, i) == cube_layer(n - 1, i - 1) + cube_layer(n - 1, i)
 
 
 def test_layer_diff_recursion_at_i2_needs_the_generic_layer1_form():
@@ -172,11 +197,11 @@ def test_layer_diff_recursion_at_i2_needs_the_generic_layer1_form():
     # set below it) breaks the concatenation identity at i = 2; with the
     # generic arrow form for layer 1 the identity is the arrow recursion
     for n in range(4, 13):
-        special = layer_diff_seq(n - 1, 1).values
+        special = cube_layer(n - 1, 1)
         generic = arrow_seq(n - 2, 1)
         assert special != generic
-        assert layer_diff_seq(n, 2).values == generic + layer_diff_seq(n - 1, 2).values
-        assert layer_diff_seq(n, 2).values != special + layer_diff_seq(n - 1, 2).values
+        assert cube_layer(n, 2) == generic + cube_layer(n - 1, 2)
+        assert cube_layer(n, 2) != special + cube_layer(n - 1, 2)
 
 
 def test_cube_diff_seq_values():

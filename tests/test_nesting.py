@@ -2,6 +2,7 @@ import pytest
 
 from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, run, verify
 from huntrab.errors import (
+    BudgetExceededError,
     FormatError,
     InapplicableError,
     InvalidOrderError,
@@ -35,7 +36,7 @@ from huntrab.nesting import (
     weightlex_nest_order,
 )
 from huntrab.orders import grid_key, lex_key, weightlex_key
-from huntrab.solver import hunter_number
+from huntrab.solver import Meter, hunter_number
 
 from test_dynamics import Q4_SHOT_LABELS
 
@@ -243,6 +244,26 @@ def test_hunter_number_via_nesting_values():
     assert hunter_number_via_nesting(q4, weightlex_nest_order(q4)) == 5
     assert hunter_number_via_nesting(grid_graph(2, 3), grid_nest_order(2, 3)) == 2
     assert hunter_number_via_nesting(q3, weightlex_full_order(q3)) == 5
+
+
+def test_nesting_route_enumerates_each_side_once_under_one_budget():
+    # each side of Q^4 has 8 vertices: a profile is 2^8 - 1 = 255 subsets
+    q4 = hypercube_graph(4)
+    order = weightlex_nest_order(q4)
+    meter = Meter()
+    m = hunter_number_via_nesting(q4, order, meter)
+    assert meter.spent == 2 * 255  # the check's profiles give the surpluses
+    nest_strategy(q4, order, m, budget=meter)
+    assert meter.spent == 4 * 255  # the side choice enumerates them again
+    with pytest.raises(BudgetExceededError) as exc:
+        check_isoperimetric_nesting(q4, order, budget=2 * 255 - 1)
+    assert exc.value.phase == "bound" and exc.value.spent == 255
+    with pytest.raises(BudgetExceededError):
+        nest_strategy(q4, order, m, budget=2 * 255 - 1)
+    full = weightlex_full_order(q4)
+    meter = Meter()
+    assert hunter_number_via_nesting(q4, full, meter) == 8
+    assert meter.spent == 2**16 - 1
 
 
 def test_hunter_number_via_nesting_rejects_unbalanced_sides():

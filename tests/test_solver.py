@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,8 +19,8 @@ from huntrab.graphs import (
 )
 from huntrab.solver import (
     BLOCKED,
-    BUDGET,
     CLEARED,
+    Meter,
     can_clear,
     hunter_number,
     lower_bound_degeneracy,
@@ -74,11 +75,8 @@ def test_profiles():
     assert min_union_profile(hypercube_graph(3), "odd").values == (3, 4, 4, 4)
     assert min_union_profile(path_graph(2)).values == (1, 2)
     profile = min_union_profile(hypercube_graph(4), "even")
-    assert profile.diffs == (4, 2, 1, 0, 1, 0, 0, 0)
-    total = 0
-    for diff, value in zip(profile.diffs, profile.values):
-        total += diff
-        assert total == value
+    diffs = tuple(b - a for a, b in zip((0,) + profile.values, profile.values))
+    assert diffs == (4, 2, 1, 0, 1, 0, 0, 0) == cube_diff_seq(4, "even").values
 
 
 def test_union_surplus_examples():
@@ -128,9 +126,12 @@ def test_can_clear_path_and_cycle():
 
 
 def test_can_clear_budget():
-    res = can_clear(grid_graph(3, 3), 2, budget=3)
-    assert res.status == BUDGET
-    assert res.explored == 4
+    # expanding the 9-, 8- and 8-vertex states costs C(9,2) + 2 C(8,2) = 92
+    # units; the next state's charge would pass 100
+    with pytest.raises(BudgetExceededError) as exc:
+        can_clear(grid_graph(3, 3), 2, budget=100)
+    assert exc.value.phase == "search"
+    assert exc.value.spent == 92
 
 
 def test_can_clear_validation():
@@ -198,6 +199,38 @@ def test_hunter_number_budget_exceeded_carries_bounds():
     with pytest.raises(BudgetExceededError) as exc:
         hunter_number(cycle_graph(5), budget=1)
     assert exc.value.best_lower_bound >= 2
+
+
+def test_union_budget_is_cumulative_across_k():
+    q4 = hypercube_graph(4)
+    for k in range(1, 17):
+        min_neighborhood_union(q4, k, budget=math.comb(16, k))
+    with pytest.raises(BudgetExceededError) as exc:
+        lower_bound_union(q4, budget=2**16 - 2)
+    assert exc.value.phase == "bound"
+    assert lower_bound_union(q4, budget=2**16 - 1) == 5
+
+
+def test_hunter_number_budget_covers_the_bound_phase():
+    with pytest.raises(BudgetExceededError) as exc:
+        hunter_number(grid_graph(4, 4), budget=1000)
+    assert exc.value.phase == "bound"
+    assert exc.value.best_lower_bound == 2  # the degeneracy, which costs no budget
+
+
+def test_budget_bounds_the_total_work_of_a_solve():
+    # a tree whose deaf hunter number 3 is above both bounds (2): the
+    # search blocks at 2 hunters and clears with 3
+    g = graph_from_edges(8, [(0, 3), (1, 4), (1, 7), (2, 3), (2, 4), (2, 6), (5, 6)])
+    assert max(lower_bound_degeneracy(g), lower_bound_union(g, "closed")) == 2
+    meter = Meter()
+    assert hunter_number(g, DEAF, meter).hunter_number == 3
+    assert meter.spent > 2**8 - 1  # the union profile, then the searches
+    assert hunter_number(g, DEAF, meter.spent).hunter_number == 3
+    with pytest.raises(BudgetExceededError) as exc:
+        hunter_number(g, DEAF, meter.spent - 1)
+    assert exc.value.phase == "search"
+    assert exc.value.best_lower_bound == 3  # proved by the blocked search at 2
 
 
 def test_bound_consistency_on_random_graphs():
