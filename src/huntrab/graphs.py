@@ -176,9 +176,6 @@ class Bipartition:
     even: int
     odd: int
 
-    def part_of(self, v: int) -> str:
-        return "even" if self.even >> v & 1 else "odd"
-
 
 def bipartition(g: Graph) -> Bipartition | None:
     """2-color g by BFS, or return None if some cycle is odd.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import DEAF, STANDARD, Strategy, step
+from .dynamics import STANDARD, Strategy, step
 from .errors import (
     FormatError,
     InapplicableError,
@@ -20,7 +20,7 @@ from .errors import (
     InvalidParameterError,
     NonTerminatingError,
 )
-from .graphs import Graph, bipartition, bits, iter_bits, mask_of, neighborhood
+from .graphs import Graph, bipartition, iter_bits, mask_of, neighborhood
 from .orders import grid_key, weightlex_key
 from .solver import DEFAULT_BUDGET, Meter, as_meter, min_union_profile, union_surplus
 

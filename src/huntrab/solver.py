@@ -74,26 +74,35 @@ def min_neighborhood_union(g: Graph, k: int, side: str = "all", mode: str = "ope
                            budget: int | Meter = DEFAULT_BUDGET) -> int:
     """Smallest |N(W)| (or |N[W]| for closed mode) over W in the side with |W| = k.
 
-    Exact, by lexicographic enumeration of all k-subsets, charged as
-    C(|side|, k) units; a partial union already at the best known size
-    prunes the rest of that subset.
+    Exact, by a depth-first branch and bound over the k-subsets in
+    lexicographic vertex order: a partial union already at the best size
+    found so far cuts every subset that extends it, since a union only
+    grows.  Charged as C(|side|, k) units, all of them, before the search,
+    which visits at most that many subsets.
     """
     vertices = _side_vertices(g, side)
     if not 1 <= k <= len(vertices):
         raise InvalidParameterError(f"k={k} out of range 1..{len(vertices)}")
     as_meter(budget).spend(comb(len(vertices), k), "bound")
-    contrib = _contributions(g, mode)
+    all_contrib = _contributions(g, mode)
+    contrib = [all_contrib[v] for v in vertices]
     best = g.n + 1
-    for combo in combinations(vertices, k):
-        union = 0
-        size = 0
-        for v in combo:
-            union |= contrib[v]
-            size = union.bit_count()
+
+    def extend(first: int, union: int, left: int) -> None:
+        # add one of contrib[first:] to the partial union, leaving room for
+        # the left - 1 members still to come
+        nonlocal best
+        for i in range(first, len(contrib) - left + 1):
+            grown = union | contrib[i]
+            size = grown.bit_count()
             if size >= best:
-                break
-        if size < best:
-            best = size
+                continue
+            if left == 1:
+                best = size
+            else:
+                extend(i + 1, grown, left - 1)
+
+    extend(0, 0, k)
     return best
 
 
@@ -184,9 +193,13 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     state is skipped when some already-admitted state is a subset of it: any
     clearing from the superset also clears the subset (the dynamics are
     monotone), so the subset's subtree already covers it and no shorter
-    witness is lost.  Deterministic: FIFO expansion, shots generated in
-    lexicographic vertex order.  Expanding state R is charged C(|R|, k)
-    units, one per successor candidate.
+    witness is lost.  A state generated before, as most are, is skipped by
+    a set lookup ahead of the linear antichain scan; the result is the same
+    because the antichain only ever gains subsets, so a state dominated or
+    admitted once stays dominated.  Deterministic:
+    FIFO expansion, shots generated in lexicographic vertex order.
+    Expanding state R is charged C(|R|, k) units, one per successor
+    candidate.
     """
     if k < 1:
         raise InvalidParameterError("hunter count must be at least 1")
@@ -198,6 +211,7 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
         return ClearResult(CLEARED, (), 0)
     adj = g.adj if variant == STANDARD else tuple(g.adj[v] | (1 << v) for v in range(g.n))
     parents: dict[int, tuple[int, int]] = {start: (-1, 0)}
+    seen = {start}
     minimal: list[int] = [start]
     queue: deque[int] = deque([start])
     explored = 0
@@ -216,6 +230,9 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
             if nxt == 0:
                 shot = state & ~mask_of(kept)
                 return ClearResult(CLEARED, _witness(parents, state) + (shot,), explored)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
             if _dominated(minimal, nxt):
                 continue
             parents[nxt] = (state, state & ~mask_of(kept))

@@ -60,14 +60,37 @@ def test_min_union_validation():
         min_neighborhood_union(hypercube_graph(4), 8, "all", "open", budget=100)
 
 
+def _random_bipartite_graph(rng, max_n):
+    n = rng.randrange(2, max_n + 1)
+    color = [rng.randrange(2) for _ in range(n)]
+    p = rng.choice([0.3, 0.5, 0.8])
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if color[u] != color[v] and rng.random() < p]
+    return graph_from_edges(n, edges)
+
+
 def test_min_union_matches_set_based_oracle():
     rng = random.Random(555)
-    for _ in range(40):
-        g = random_graph(rng, 7)
-        k = rng.randrange(1, g.n + 1)
-        for mode in ("open", "closed"):
-            assert min_neighborhood_union(g, k, "all", mode) == \
-                brute_min_union(g, k, list(range(g.n)), closed=(mode == "closed"))
+    graphs = [random_graph(rng, 12, rng.choice([None, 0.3, 0.6])) for _ in range(30)]
+    graphs += [_random_bipartite_graph(rng, 12) for _ in range(30)]
+    for g in graphs:
+        sides = {"all": list(range(g.n))}
+        parts = bipartition(g)
+        if parts is not None:
+            sides.update(even=bits(parts.even), odd=bits(parts.odd))
+        for side, vertices in sides.items():
+            for mode in ("open", "closed"):
+                for k in range(1, len(vertices) + 1):
+                    assert min_neighborhood_union(g, k, side, mode) == \
+                        brute_min_union(g, k, vertices, closed=(mode == "closed")), (g, side, mode, k)
+
+
+def test_union_bound_on_grid_5x5():
+    # 2^25 - 1 subsets per mode by plain enumeration; the branch and bound
+    # cuts nearly all of them
+    g = grid_graph(5, 5)
+    assert lower_bound_union(g) == 3
+    assert lower_bound_union(g, "closed") == 6
 
 
 def test_profiles():
@@ -149,6 +172,44 @@ def test_can_clear_agrees_with_reference_search():
         variant = rng.choice([STANDARD, DEAF])
         ours = can_clear(g, k, variant).status == CLEARED
         assert ours == naive_can_clear(g, k, variant)
+
+
+# status, shots and states explored of the search before successors were
+# deduplicated by exact hit; the dedup must reproduce them exactly
+_PINNED_SEARCHES = [
+    ("grid3x4", STANDARD, 1, BLOCKED, None, 1),
+    ("grid3x4", STANDARD, 2, CLEARED,
+     (1152, 576, 132, 576, 36, 528, 36, 18, 528, 1056, 18, 1056, 66, 1152, 66, 132), 84),
+    ("grid3x4", DEAF, 3, BLOCKED, None, 11),
+    ("grid3x4", DEAF, 4, CLEARED, (3712, 1728, 712, 588, 612, 804, 308, 54, 19), 178),
+    ("q3", STANDARD, 2, BLOCKED, None, 1),
+    ("q3", STANDARD, 3, CLEARED, (104, 22, 148, 41), 12),
+    ("q3", DEAF, 4, BLOCKED, None, 9),
+    ("q3", DEAF, 5, CLEARED, (248, 124, 62, 23), 34),
+    ("c7", STANDARD, 1, BLOCKED, None, 1),
+    ("c7", STANDARD, 2, CLEARED, (80, 10, 66, 20, 36, 66), 44),
+    ("c7", DEAF, 2, BLOCKED, None, 1),
+    ("c7", DEAF, 3, CLEARED, (112, 88, 76, 70, 67), 23),
+    ("random10", STANDARD, 1, BLOCKED, None, 3),
+    ("random10", STANDARD, 2, CLEARED, (544, 768, 130, 513, 129, 129, 513, 160, 257, 130), 45),
+    ("random10", DEAF, 2, BLOCKED, None, 4),
+    ("random10", DEAF, 3, CLEARED, (56, 800, 770, 515, 7, 193, 134), 77),
+]
+
+
+def test_can_clear_reproduces_pinned_searches():
+    graphs = {
+        "grid3x4": grid_graph(3, 4),
+        "q3": hypercube_graph(3),
+        "c7": cycle_graph(7),
+        # edges drawn with p = 0.3 from random.Random(3)
+        "random10": graph_from_edges(10, [(0, 1), (0, 6), (0, 7), (0, 9), (1, 2), (1, 8), (2, 7),
+                                          (3, 5), (5, 8), (5, 9), (6, 7)]),
+    }
+    for name, variant, k, status, shots, explored in _PINNED_SEARCHES:
+        result = can_clear(graphs[name], k, variant)
+        assert (result.status, result.shots, result.explored) == (status, shots, explored), \
+            (name, variant, k)
 
 
 # ---------------------------------------------------------------------------
