@@ -179,7 +179,7 @@ def _cmd_strategy(args) -> tuple[dict, int]:
     m = args.hunters
     if m is None:
         m = nesting.hunter_number_via_nesting(g, order, meter)
-    strategy = nesting.nest_strategy(g, order, m, variant, meter)
+    strategy = nesting.nest_strategy(g, order, m, variant)
     results = {
         "variant": variant,
         "hunters": m,
@@ -191,12 +191,11 @@ def _cmd_strategy(args) -> tuple[dict, int]:
     if args.extend_parity:
         strategy = dynamics.extend_parity(g, strategy)
         results["extended_steps"] = len(strategy)
-    start = "any" if (args.deaf or args.extend_parity) else None
-    if start is None:
-        parts = graphs.bipartition(g)
-        assert parts is not None
+    if args.deaf or args.extend_parity:
+        start = "any"
+    else:
         first = next(s for s in strategy.shots if s)
-        start = "even" if first & parts.even else "odd"
+        start = "even" if first & graphs.side_mask(g, "even") else "odd"
     outcome = dynamics.verify(g, strategy, start)
     results["verified_start"] = start
     results["verified"] = isinstance(outcome, dynamics.Caught)

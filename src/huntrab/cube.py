@@ -146,14 +146,6 @@ class DiffSeq:
     side: str  # "even" or "odd"
     values: tuple[int, ...]
 
-    def prefix_sums(self) -> tuple[int, ...]:
-        out = []
-        total = 0
-        for v in self.values:
-            total += v
-            out.append(total)
-        return tuple(out)
-
 
 def cube_diff_seq(n: int, side: str = "even") -> DiffSeq:
     """Difference sequence of the whole even or odd side of Q^n: the

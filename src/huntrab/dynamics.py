@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FormatError, InvalidParameterError, InvalidStrategyError
-from .graphs import Bipartition, Graph, bipartition, iter_bits, mask_of, neighborhood
+from .graphs import Bipartition, Graph, bipartition, iter_bits, mask_of, neighborhood, side_mask
 
 STANDARD = "standard"
 DEAF = "deaf"
@@ -90,17 +90,6 @@ def run(g: Graph, strategy: Strategy, start: int) -> Trace:
     return Trace(tuple(sets), caught)
 
 
-def _start_mask(g: Graph, start: str) -> int:
-    if start == "any":
-        return g.full_mask
-    if start not in ("even", "odd"):
-        raise InvalidParameterError(f"start must be any, even or odd, not {start!r}")
-    parts = bipartition(g)
-    if parts is None:
-        raise InvalidParameterError("even/odd start requires a bipartite graph")
-    return parts.even if start == "even" else parts.odd
-
-
 def verify(g: Graph, strategy: Strategy, start: str = "any") -> Caught | Escaped:
     """Decide whether the strategy catches every rabbit from the given start.
 
@@ -108,7 +97,9 @@ def verify(g: Graph, strategy: Strategy, start: str = "any") -> Caught | Escaped
     set, always taking the lowest-index valid predecessor so the witness is
     deterministic.
     """
-    trace = run(g, strategy, _start_mask(g, start))
+    if start not in ("any", "even", "odd"):
+        raise InvalidParameterError(f"start must be any, even or odd, not {start!r}")
+    trace = run(g, strategy, side_mask(g, "all" if start == "any" else start))
     if trace.caught_at is not None:
         return Caught(trace.caught_at)
     deaf = strategy.variant == DEAF

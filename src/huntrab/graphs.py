@@ -203,6 +203,21 @@ def bipartition(g: Graph) -> Bipartition | None:
     return Bipartition(even, g.full_mask & ~even)
 
 
+SIDES = ("all", "even", "odd")
+
+
+def side_mask(g: Graph, side: str) -> int:
+    """The vertices of one side: all of V, or one part of the bipartition."""
+    if side == "all":
+        return g.full_mask
+    if side not in SIDES:
+        raise InvalidParameterError(f"side must be one of {SIDES}, not {side!r}")
+    parts = bipartition(g)
+    if parts is None:
+        raise InvalidParameterError("even/odd side requires a bipartite graph")
+    return parts.even if side == "even" else parts.odd
+
+
 def degeneracy(g: Graph) -> int:
     """Max over the min-degree peeling process of the current minimum degree."""
     if g.n == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import STANDARD, Strategy, step
+from .dynamics import DEAF, STANDARD, Strategy, step
 from .errors import (
     FormatError,
     InapplicableError,
@@ -20,9 +20,9 @@ from .errors import (
     InvalidParameterError,
     NonTerminatingError,
 )
-from .graphs import Graph, bipartition, iter_bits, mask_of, neighborhood
+from .graphs import Graph, iter_bits, mask_of, neighborhood, side_mask
 from .orders import grid_key, weightlex_key
-from .solver import DEFAULT_BUDGET, Meter, as_meter, min_union_profile, union_surplus
+from .solver import DEFAULT_BUDGET, Meter, as_meter, min_union_profile
 
 BIPARTITE = "bipartite"
 FULL = "full"
@@ -49,6 +49,18 @@ class NestOrder:
         for seq in (self.order_even, self.order_odd, self.order_all):
             if seq is not None and len(set(seq)) != len(seq):
                 raise InvalidParameterError("order repeats a vertex")
+
+    @property
+    def next_side(self) -> dict[str, str]:
+        """Each side mapped to the side its segments' neighborhoods land in:
+        the other part under open neighborhoods (bipartite kind), or all of
+        V onto itself under closed neighborhoods (full kind)."""
+        return {"even": "odd", "odd": "even"} if self.kind == BIPARTITE else {"all": "all"}
+
+    @property
+    def variant(self) -> str:
+        """The game the order plays: standard (open) or deaf (closed)."""
+        return STANDARD if self.kind == BIPARTITE else DEAF
 
     def sequence(self, part: str) -> tuple[int, ...]:
         seq = {"even": self.order_even, "odd": self.order_odd, "all": self.order_all}.get(part)
@@ -118,63 +130,52 @@ class NestingReport:
     surpluses: dict[str, int]  # side -> max over k of the brute-force minimum minus k
 
 
-def _bind_bipartite(g: Graph, order: NestOrder) -> None:
-    if order.kind != BIPARTITE:
-        raise InvalidParameterError("expected a bipartite-kind order")
-    parts = bipartition(g)
-    if parts is None:
-        raise InvalidParameterError("graph is not bipartite")
-    if mask_of(order.order_even) != parts.even or mask_of(order.order_odd) != parts.odd:
-        raise InvalidOrderError("order parts do not match the graph's bipartition")
+def _bind(g: Graph, order: NestOrder) -> None:
+    for side in order.next_side:
+        if mask_of(order.sequence(side)) != side_mask(g, side):
+            raise InvalidOrderError(f"order for side {side!r} does not hold exactly that side's vertices")
 
 
-def check_isoperimetric_nesting(g: Graph, order: NestOrder,
-                                budget: int | Meter = DEFAULT_BUDGET) -> NestingReport:
-    """Check, for every k on both sides, that the neighborhood of the initial
-    segment is an initial segment of the other side and achieves the
-    brute-force minimum.  Lists every violated (side, k)."""
-    _bind_bipartite(g, order)
+def _segment_neighborhood(g: Graph, order: NestOrder, side: str, k: int) -> int:
+    return neighborhood(g, initial_segment(order, side, k), closed=order.variant == DEAF)
+
+
+def _check_nesting(g: Graph, order: NestOrder, budget: int | Meter) -> NestingReport:
+    _bind(g, order)
     meter = as_meter(budget)
+    mode = "closed" if order.variant == DEAF else "open"
     violations: list[tuple[str, int, str]] = []
     surpluses: dict[str, int] = {}
-    for side, other in (("even", "odd"), ("odd", "even")):
-        seq = order.sequence(side)
-        other_seq = order.sequence(other)
-        profile = min_union_profile(g, side, "open", meter)
+    for side, image in order.next_side.items():
+        profile = min_union_profile(g, side, mode, meter)
         surpluses[side] = profile.surplus()
         for k, minimum in enumerate(profile.values, start=1):
-            nb = neighborhood(g, mask_of(seq[:k]))
+            nb = _segment_neighborhood(g, order, side, k)
             size = nb.bit_count()
-            if nb != mask_of(other_seq[:size]):
+            if nb != initial_segment(order, image, size):
                 violations.append((side, k, "neighborhood of the segment is not an initial segment"))
             if size != minimum:
                 violations.append((side, k, f"segment neighborhood has {size} vertices, minimum is {minimum}"))
     return NestingReport(not violations, tuple(violations), surpluses)
 
 
+def check_isoperimetric_nesting(g: Graph, order: NestOrder,
+                                budget: int | Meter = DEFAULT_BUDGET) -> NestingReport:
+    """Check, for every k on both sides, that the open neighborhood of the
+    initial segment is an initial segment of the other side and achieves the
+    brute-force minimum.  Lists every violated (side, k)."""
+    if order.kind != BIPARTITE:
+        raise InvalidParameterError("expected a bipartite-kind order")
+    return _check_nesting(g, order, budget)
+
+
 def check_closed_nesting(g: Graph, order: NestOrder,
                          budget: int | Meter = DEFAULT_BUDGET) -> NestingReport:
-    """Check the four chain conditions of closed nesting for every prefix."""
+    """Check, for every prefix of the order on all of V, that its closed
+    neighborhood is a prefix again and achieves the brute-force minimum."""
     if order.kind != FULL:
         raise InvalidParameterError("expected a full-kind order")
-    if mask_of(order.order_all) != g.full_mask:
-        raise InvalidOrderError("order is not a permutation of the vertices")
-    seq = order.order_all
-    profile = min_union_profile(g, "all", "closed", budget)
-    violations: list[tuple[str, int, str]] = []
-    for i, minimum in enumerate(profile.values, start=1):
-        seg = mask_of(seq[:i])
-        if seg.bit_count() != i:
-            violations.append(("all", i, "segment size mismatch"))
-        if i < len(seq) and seg & ~mask_of(seq[:i + 1]):
-            violations.append(("all", i, "segments are not nested"))
-        nb = neighborhood(g, seg, closed=True)
-        size = nb.bit_count()
-        if size != minimum:
-            violations.append(("all", i, f"closed neighborhood has {size} vertices, minimum is {minimum}"))
-        if nb != mask_of(seq[:size]):
-            violations.append(("all", i, "closed neighborhood is not an initial segment"))
-    return NestingReport(not violations, tuple(violations), {"all": profile.surplus()})
+    return _check_nesting(g, order, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +189,22 @@ def _tail_shot(seq: tuple[int, ...], r: int, m: int) -> int:
     return mask_of(seq[max(0, top - m):top])
 
 
-def nest_strategy(g: Graph, order: NestOrder, m: int, variant: str = STANDARD,
-                  budget: int | Meter = DEFAULT_BUDGET) -> Strategy:
+def _segment_surplus(g: Graph, order: NestOrder, side: str) -> int:
+    """max over k of |N(first k of the side)| - k; the side's union surplus
+    when the order nests, since its segments then achieve every minimum."""
+    return max((_segment_neighborhood(g, order, side, k).bit_count() - k
+                for k in range(1, len(order.sequence(side)) + 1)), default=0)
+
+
+def nest_strategy(g: Graph, order: NestOrder, m: int, variant: str = STANDARD) -> Strategy:
     """Shoot the last m nest-ordered vertices of the position set each round.
 
-    For the standard variant the order must be bipartite-kind; the strategy
-    assumes the rabbit starts on the driven side (the part with the smaller
-    surplus, ties to even) and respects parity, so extend_parity turns it
-    into a strategy winning from any start.  For the deaf variant the order
-    is full-kind and the start set is all of V.
+    The variant must be the order's: standard for the bipartite kind, deaf
+    for the full kind.  The rabbit starts on the driven side, the side with
+    the smaller segment surplus (ties to even), and each round moves it to
+    the side that side maps to.  A bipartite strategy thus respects parity,
+    and extend_parity turns it into one winning from any start; a full
+    order's strategy starts from all of V.
 
     Each round re-checks that the position set is an initial segment of the
     active order and fails with InvalidOrderError otherwise; if the set stops
@@ -204,35 +212,23 @@ def nest_strategy(g: Graph, order: NestOrder, m: int, variant: str = STANDARD,
     """
     if m < 1:
         raise InvalidParameterError("hunter count must be at least 1")
-    if variant == STANDARD:
-        if order.kind != BIPARTITE:
-            raise InvalidParameterError("standard variant takes a bipartite-kind order")
-        _bind_bipartite(g, order)
-        meter = as_meter(budget)
-        u_even = union_surplus(g, "even", "open", meter)
-        u_odd = union_surplus(g, "odd", "open", meter)
-        side = "even" if u_even <= u_odd else "odd"
-    else:
-        if order.kind != FULL:
-            raise InvalidParameterError("deaf variant takes a full-kind order")
-        if mask_of(order.order_all) != g.full_mask:
-            raise InvalidOrderError("order is not a permutation of the vertices")
-        side = "all"
+    if variant != order.variant:
+        raise InvalidParameterError(f"the {variant} variant does not take a {order.kind}-kind order")
+    _bind(g, order)
+    side = min(order.next_side, key=lambda s: _segment_surplus(g, order, s))
     rabbit = mask_of(order.sequence(side))
     shots: list[int] = []
     for _ in range(4 * g.n):
         if rabbit == 0:
             return Strategy(tuple(shots), variant)
-        seq = order.sequence(side)
         r = rabbit.bit_count()
-        if rabbit != mask_of(seq[:r]):
+        if rabbit != initial_segment(order, side, r):
             raise InvalidOrderError(
                 f"position set is not an initial segment of the {side} order at step {len(shots) + 1}")
-        shot = _tail_shot(seq, r, m)
+        shot = _tail_shot(order.sequence(side), r, m)
         shots.append(shot)
         rabbit = step(g, rabbit, shot, variant)
-        if variant == STANDARD:
-            side = "odd" if side == "even" else "even"
+        side = order.next_side[side]
     if rabbit == 0:
         return Strategy(tuple(shots), variant)
     raise NonTerminatingError(f"position set still has {rabbit.bit_count()} vertices "
@@ -241,28 +237,19 @@ def nest_strategy(g: Graph, order: NestOrder, m: int, variant: str = STANDARD,
 
 def hunter_number_via_nesting(g: Graph, order: NestOrder,
                               budget: int | Meter = DEFAULT_BUDGET) -> int:
-    """Hunter number from a verified nest order.
-
-    Bipartite kind: checks isoperimetric nesting and that the two side
-    surpluses differ by at most one, then returns min(surpluses) + 1.  Full
-    kind: checks closed nesting and returns the closed surplus + 1.
-    """
-    if order.kind == BIPARTITE:
-        report = check_isoperimetric_nesting(g, order, budget)
-        if not report.ok:
-            raise InvalidOrderError(
-                f"order is not an isoperimetric nesting; first violation {report.violations[0]}")
-        u_even, u_odd = report.surpluses["even"], report.surpluses["odd"]
-        if abs(u_even - u_odd) > 1:
-            raise InapplicableError(
-                f"side surpluses differ by more than one (even {u_even}, odd {u_odd})",
-                u_even=u_even, u_odd=u_odd)
-        return min(u_even, u_odd) + 1
-    report = check_closed_nesting(g, order, budget)
+    """Hunter number from a verified nest order: checks the nesting and that
+    the side surpluses differ by at most one (always so for the single side
+    of a full order), then returns min(surpluses) + 1."""
+    check = check_isoperimetric_nesting if order.kind == BIPARTITE else check_closed_nesting
+    report = check(g, order, budget)
     if not report.ok:
-        raise InvalidOrderError(
-            f"order is not a closed nesting; first violation {report.violations[0]}")
-    return report.surpluses["all"] + 1
+        raise InvalidOrderError(f"order is not a nesting; first violation {report.violations[0]}")
+    u = report.surpluses
+    if max(u.values()) - min(u.values()) > 1:
+        raise InapplicableError(
+            f"side surpluses differ by more than one (even {u['even']}, odd {u['odd']})",
+            u_even=u["even"], u_odd=u["odd"])
+    return min(u.values()) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +258,7 @@ def hunter_number_via_nesting(g: Graph, order: NestOrder,
 
 def _rank(order: NestOrder) -> dict[int, tuple[int, int]]:
     ranks: dict[int, tuple[int, int]] = {}
-    groups = ("all",) if order.kind == FULL else ("even", "odd")
-    for gi, part in enumerate(groups):
+    for gi, part in enumerate(order.next_side):
         for pos, v in enumerate(order.sequence(part)):
             ranks[v] = (gi, pos)
     return ranks
@@ -300,11 +286,7 @@ def shot_labels(g: Graph, strategy: Strategy, order: NestOrder) -> list[list[str
 
 def format_nest_order(order: NestOrder) -> str:
     lines = [f"kind {order.kind}"]
-    if order.kind == BIPARTITE:
-        lines.append(" ".join(str(v) for v in order.order_even))
-        lines.append(" ".join(str(v) for v in order.order_odd))
-    else:
-        lines.append(" ".join(str(v) for v in order.order_all))
+    lines += [" ".join(str(v) for v in order.sequence(side)) for side in order.next_side]
     return "\n".join(lines) + "\n"
 
 

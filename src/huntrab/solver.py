@@ -17,13 +17,12 @@ from math import comb
 
 from .dynamics import DEAF, STANDARD, Strategy
 from .errors import BudgetExceededError, InvalidParameterError
-from .graphs import Graph, bipartition, bits, components, degeneracy, induced_subgraph, mask_of
+from .graphs import Graph, bits, components, degeneracy, induced_subgraph, mask_of, side_mask
 
 # Work units: one per subset the union enumeration visits, one per successor
 # candidate the search generates.  Grid 5x5 solves in 36,477,063 units.
 DEFAULT_BUDGET = 10**8
 
-SIDES = ("all", "even", "odd")
 MODES = ("open", "closed")
 
 CLEARED = "cleared"
@@ -51,42 +50,20 @@ def as_meter(budget: int | Meter) -> Meter:
     return budget if isinstance(budget, Meter) else Meter(budget)
 
 
-def _side_vertices(g: Graph, side: str) -> list[int]:
-    if side == "all":
-        return list(range(g.n))
-    if side not in SIDES:
-        raise InvalidParameterError(f"side must be one of {SIDES}, not {side!r}")
-    parts = bipartition(g)
-    if parts is None:
-        raise InvalidParameterError("even/odd side requires a bipartite graph")
-    return bits(parts.even if side == "even" else parts.odd)
-
-
-def _contributions(g: Graph, mode: str) -> list[int]:
+def _side_contributions(g: Graph, side: str, mode: str) -> list[int]:
+    """N(v), or N[v] in closed mode, for each vertex v of the side."""
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be open or closed, not {mode!r}")
-    if mode == "open":
-        return list(g.adj)
-    return [g.adj[v] | (1 << v) for v in range(g.n)]
+    closed = int(mode == "closed")
+    return [g.adj[v] | (closed << v) for v in bits(side_mask(g, side))]
 
 
-def min_neighborhood_union(g: Graph, k: int, side: str = "all", mode: str = "open",
-                           budget: int | Meter = DEFAULT_BUDGET) -> int:
-    """Smallest |N(W)| (or |N[W]| for closed mode) over W in the side with |W| = k.
-
-    Exact, by a depth-first branch and bound over the k-subsets in
-    lexicographic vertex order: a partial union already at the best size
-    found so far cuts every subset that extends it, since a union only
-    grows.  Charged as C(|side|, k) units, all of them, before the search,
-    which visits at most that many subsets.
-    """
-    vertices = _side_vertices(g, side)
-    if not 1 <= k <= len(vertices):
-        raise InvalidParameterError(f"k={k} out of range 1..{len(vertices)}")
-    as_meter(budget).spend(comb(len(vertices), k), "bound")
-    all_contrib = _contributions(g, mode)
-    contrib = [all_contrib[v] for v in vertices]
-    best = g.n + 1
+def _min_union(contrib: list[int], k: int) -> int:
+    """Smallest union of k of the contributions, by a depth-first branch and
+    bound over the k-subsets in lexicographic order: a partial union already
+    at the best size found so far cuts every subset that extends it, since a
+    union only grows."""
+    best = sum(c.bit_count() for c in contrib) + 1  # above every union
 
     def extend(first: int, union: int, left: int) -> None:
         # add one of contrib[first:] to the partial union, leaving room for
@@ -104,6 +81,20 @@ def min_neighborhood_union(g: Graph, k: int, side: str = "all", mode: str = "ope
 
     extend(0, 0, k)
     return best
+
+
+def min_neighborhood_union(g: Graph, k: int, side: str = "all", mode: str = "open",
+                           budget: int | Meter = DEFAULT_BUDGET) -> int:
+    """Smallest |N(W)| (or |N[W]| for closed mode) over W in the side with |W| = k.
+
+    Exact, by branch and bound; charged as C(|side|, k) units, all of them,
+    before the search, which visits at most that many subsets.
+    """
+    contrib = _side_contributions(g, side, mode)
+    if not 1 <= k <= len(contrib):
+        raise InvalidParameterError(f"k={k} out of range 1..{len(contrib)}")
+    as_meter(budget).spend(comb(len(contrib), k), "bound")
+    return _min_union(contrib, k)
 
 
 @dataclass(frozen=True)
@@ -124,12 +115,10 @@ def min_union_profile(g: Graph, side: str = "all", mode: str = "open",
     """min_neighborhood_union for k = 1..|side|.  Only the whole profile
     gives a surplus, so all of it, 2^|side| - 1 subsets, is charged before
     any k is enumerated; each k then runs within what was paid."""
-    vertices = _side_vertices(g, side)
-    total = (1 << len(vertices)) - 1
-    as_meter(budget).spend(total, "bound")
-    values = tuple(min_neighborhood_union(g, k, side, mode, total)
-                   for k in range(1, len(vertices) + 1))
-    return UnionProfile(side, mode, values)
+    contrib = _side_contributions(g, side, mode)
+    as_meter(budget).spend((1 << len(contrib)) - 1, "bound")
+    return UnionProfile(side, mode, tuple(_min_union(contrib, k)
+                                          for k in range(1, len(contrib) + 1)))
 
 
 def union_surplus(g: Graph, side: str = "all", mode: str = "open",

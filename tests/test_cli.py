@@ -237,6 +237,16 @@ def test_strategy_deaf_full_order(tmp_path, capsys):
     assert report["results"]["verified_start"] == "any"
 
 
+def test_strategy_with_given_hunters_enumerates_nothing(tmp_path, capsys):
+    # a Q6 side profile alone would be 2^32 - 1 units, past the default budget
+    graph_path = tmp_path / "q6.graph"
+    run_cli(capsys, "gen", "hypercube", "6", "-o", str(graph_path))
+    code, report = run_json(capsys, "strategy", str(graph_path), "--order", "weightlex",
+                            "--hunters", "14", "--extend-parity")
+    assert code == 0
+    assert report["results"]["verified"] is True
+
+
 def test_strategy_from_order_file(tmp_path, capsys):
     from huntrab.nesting import weightlex_nest_order, write_nest_order
 

@@ -17,6 +17,7 @@ from huntrab.graphs import (
     hypercube_graph,
     mask_of,
     path_graph,
+    side_mask,
     star_graph,
 )
 from huntrab.nesting import (
@@ -36,9 +37,13 @@ from huntrab.nesting import (
     weightlex_nest_order,
 )
 from huntrab.orders import grid_key, lex_key, weightlex_key
-from huntrab.solver import Meter, hunter_number
+from huntrab.solver import Meter, hunter_number, union_surplus
 
 from test_dynamics import Q4_SHOT_LABELS
+
+
+# grids whose diagonal sweep order is an isoperimetric nesting
+NESTING_GRIDS = [(1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 5)]
 
 
 def subset(*elements: int) -> int:
@@ -122,7 +127,7 @@ def test_isoperimetric_nesting_hypercubes_pass():
 
 
 def test_isoperimetric_nesting_grids_pass():
-    for m, n in [(1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 5)]:
+    for m, n in NESTING_GRIDS:
         g = grid_graph(m, n)
         assert check_isoperimetric_nesting(g, grid_nest_order(m, n)).ok, (m, n)
 
@@ -216,6 +221,19 @@ def test_nest_strategy_deaf_q3():
     assert verify(q3, strategy) == Caught(step=4)
 
 
+def test_nest_strategy_drives_the_side_with_the_smaller_union_surplus():
+    cases = [(hypercube_graph(n), weightlex_nest_order(hypercube_graph(n))) for n in range(1, 5)]
+    cases += [(grid_graph(m, n), grid_nest_order(m, n)) for m, n in NESTING_GRIDS]
+    cases.append((star_graph(4), NestOrder(BIPARTITE, (0,), (1, 2, 3, 4))))  # drives odd
+    for g, order in cases:
+        assert check_isoperimetric_nesting(g, order).ok
+        u_even, u_odd = union_surplus(g, "even"), union_surplus(g, "odd")
+        driven = "even" if u_even <= u_odd else "odd"
+        strategy = nest_strategy(g, order, max(u_even, u_odd) + 1)
+        first = next(s for s in strategy.shots if s)
+        assert first & ~side_mask(g, driven) == 0, (g.n, driven)
+
+
 def test_nest_strategy_trace_strictly_decreases_every_two_rounds():
     cases = [(hypercube_graph(n), weightlex_nest_order(hypercube_graph(n)))
              for n in (2, 3, 4)]
@@ -246,20 +264,21 @@ def test_hunter_number_via_nesting_values():
     assert hunter_number_via_nesting(q3, weightlex_full_order(q3)) == 5
 
 
-def test_nesting_route_enumerates_each_side_once_under_one_budget():
+def test_nesting_route_enumerates_each_side_once_under_one_budget(monkeypatch):
     # each side of Q^4 has 8 vertices: a profile is 2^8 - 1 = 255 subsets
     q4 = hypercube_graph(4)
     order = weightlex_nest_order(q4)
     meter = Meter()
     m = hunter_number_via_nesting(q4, order, meter)
     assert meter.spent == 2 * 255  # the check's profiles give the surpluses
-    nest_strategy(q4, order, m, budget=meter)
-    assert meter.spent == 4 * 255  # the side choice enumerates them again
     with pytest.raises(BudgetExceededError) as exc:
         check_isoperimetric_nesting(q4, order, budget=2 * 255 - 1)
     assert exc.value.phase == "bound" and exc.value.spent == 255
-    with pytest.raises(BudgetExceededError):
-        nest_strategy(q4, order, m, budget=2 * 255 - 1)
+    charges = []
+    monkeypatch.setattr(Meter, "spend", lambda self, units, phase: charges.append(units))
+    nest_strategy(q4, order, m)
+    assert charges == []  # the side choice reads the order's own segments
+    monkeypatch.undo()
     full = weightlex_full_order(q4)
     meter = Meter()
     assert hunter_number_via_nesting(q4, full, meter) == 8
