@@ -162,6 +162,23 @@ def naive_can_clear(g: Graph, k: int, variant: str = "standard",
     return False
 
 
+def naive_successors(adj: tuple[int, ...], state: int, k: int) -> list[tuple[int, int]]:
+    """Reference successors of a search state: every kept set of |state| - k
+    vertices in combinations order, each distinct union listed once with the
+    shot that first reached it."""
+    out: list[tuple[int, int]] = []
+    reached = set()
+    vs = start_bits(state)
+    for kept in itertools.combinations(vs, len(vs) - k):
+        union = 0
+        for v in kept:
+            union |= adj[v]
+        if union not in reached:
+            reached.add(union)
+            out.append((union, state & ~sum(1 << v for v in kept)))
+    return out
+
+
 def start_bits(mask: int) -> list[int]:
     out = []
     v = 0

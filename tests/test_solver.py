@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from conftest import brute_min_union, naive_can_clear, random_graph
+from conftest import brute_min_union, naive_can_clear, naive_successors, random_graph, random_mask
 from huntrab.cube import cube_deaf_closed_profile, cube_diff_seq, cube_hunter_number
 from huntrab.dynamics import DEAF, STANDARD, Caught, verify
 from huntrab.errors import BudgetExceededError, InvalidParameterError
@@ -22,6 +22,7 @@ from huntrab.solver import (
     BLOCKED,
     CLEARED,
     Meter,
+    _successors,
     can_clear,
     hunter_number,
     lower_bound_degeneracy,
@@ -175,42 +176,79 @@ def test_can_clear_agrees_with_reference_search():
         assert ours == naive_can_clear(g, k, variant)
 
 
-# status, shots and states explored of the search before successors were
-# deduplicated by exact hit; the dedup must reproduce them exactly
+# status, shots, states explored and units spent of the search before
+# successors were deduplicated by exact hit or built from half tables; both
+# must reproduce them exactly
 _PINNED_SEARCHES = [
-    ("grid3x4", STANDARD, 1, BLOCKED, None, 1),
+    ("grid3x4", STANDARD, 1, BLOCKED, None, 1, 12),
     ("grid3x4", STANDARD, 2, CLEARED,
-     (1152, 576, 132, 576, 36, 528, 36, 18, 528, 1056, 18, 1056, 66, 1152, 66, 132), 84),
-    ("grid3x4", DEAF, 3, BLOCKED, None, 11),
-    ("grid3x4", DEAF, 4, CLEARED, (3712, 1728, 712, 588, 612, 804, 308, 54, 19), 178),
-    ("q3", STANDARD, 2, BLOCKED, None, 1),
-    ("q3", STANDARD, 3, CLEARED, (104, 22, 148, 41), 12),
-    ("q3", DEAF, 4, BLOCKED, None, 9),
-    ("q3", DEAF, 5, CLEARED, (248, 124, 62, 23), 34),
-    ("c7", STANDARD, 1, BLOCKED, None, 1),
-    ("c7", STANDARD, 2, CLEARED, (80, 10, 66, 20, 36, 66), 44),
-    ("c7", DEAF, 2, BLOCKED, None, 1),
-    ("c7", DEAF, 3, CLEARED, (112, 88, 76, 70, 67), 23),
-    ("random10", STANDARD, 1, BLOCKED, None, 3),
-    ("random10", STANDARD, 2, CLEARED, (544, 768, 130, 513, 129, 129, 513, 160, 257, 130), 45),
-    ("random10", DEAF, 2, BLOCKED, None, 4),
-    ("random10", DEAF, 3, CLEARED, (56, 800, 770, 515, 7, 193, 134), 77),
+     (1152, 576, 132, 576, 36, 528, 36, 18, 528, 1056, 18, 1056, 66, 1152, 66, 132), 84, 2472),
+    ("grid3x4", DEAF, 3, BLOCKED, None, 11, 1870),
+    ("grid3x4", DEAF, 4, CLEARED, (3712, 1728, 712, 588, 612, 804, 308, 54, 19), 178, 21671),
+    ("q3", STANDARD, 2, BLOCKED, None, 1, 28),
+    ("q3", STANDARD, 3, CLEARED, (104, 22, 148, 41), 12, 344),
+    ("q3", DEAF, 4, BLOCKED, None, 9, 350),
+    ("q3", DEAF, 5, CLEARED, (248, 124, 62, 23), 34, 368),
+    ("c7", STANDARD, 1, BLOCKED, None, 1, 7),
+    ("c7", STANDARD, 2, CLEARED, (80, 10, 66, 20, 36, 66), 44, 371),
+    ("c7", DEAF, 2, BLOCKED, None, 1, 21),
+    ("c7", DEAF, 3, CLEARED, (112, 88, 76, 70, 67), 23, 273),
+    ("random10", STANDARD, 1, BLOCKED, None, 3, 27),
+    ("random10", STANDARD, 2, CLEARED,
+     (544, 768, 130, 513, 129, 129, 513, 160, 257, 130), 45, 714),
+    ("random10", DEAF, 2, BLOCKED, None, 4, 145),
+    ("random10", DEAF, 3, CLEARED, (56, 800, 770, 515, 7, 193, 134), 77, 2601),
+    ("q4", DEAF, 7, BLOCKED, None, 97, 388960),
+    ("q4", DEAF, 8, CLEARED, (64704, 16096, 7912, 6008, 1916, 831), 953, 1033995),
+    ("grid4x4", STANDARD, 2, BLOCKED, None, 13, 1380),
+    ("grid4x4", STANDARD, 3, CLEARED,
+     (51200, 9472, 2624, 416, 88, 37, 41984, 6656, 1408, 592, 164, 18), 466, 98323),
 ]
 
 
 def test_can_clear_reproduces_pinned_searches():
     graphs = {
         "grid3x4": grid_graph(3, 4),
+        "grid4x4": grid_graph(4, 4),
         "q3": hypercube_graph(3),
+        "q4": hypercube_graph(4),
         "c7": cycle_graph(7),
         # edges drawn with p = 0.3 from random.Random(3)
         "random10": graph_from_edges(10, [(0, 1), (0, 6), (0, 7), (0, 9), (1, 2), (1, 8), (2, 7),
                                           (3, 5), (5, 8), (5, 9), (6, 7)]),
     }
-    for name, variant, k, status, shots, explored in _PINNED_SEARCHES:
-        result = can_clear(graphs[name], k, variant)
-        assert (result.status, result.shots, result.explored) == (status, shots, explored), \
-            (name, variant, k)
+    for name, variant, k, status, shots, explored, spent in _PINNED_SEARCHES:
+        meter = Meter()
+        result = can_clear(graphs[name], k, variant, meter)
+        assert (result.status, result.shots, result.explored, meter.spent) == \
+            (status, shots, explored, spent), (name, variant, k)
+
+
+def test_successors_match_combinations_order():
+    # the half-table generator yields exactly the first-reach (union, shot)
+    # list of plain enumeration over combinations, order and shots included,
+    # less the unions already seen
+    rng = random.Random(606)
+    for trial in range(120):
+        g = random_graph(rng, 12, rng.choice([None, 0.3, 0.6]))
+        closed = trial % 2 == 1
+        adj = tuple(g.adj[v] | (int(closed) << v) for v in range(g.n))
+        states = [g.full_mask] + [random_mask(rng, g.n) for _ in range(3)]
+        if not closed:
+            # kept sets of isolated vertices alone give the empty union
+            states += [random_mask(rng, g.n) | 1 << v for v in range(g.n) if g.adj[v] == 0]
+        for state in states:
+            for k in range(1, state.bit_count()):
+                expected = naive_successors(adj, state, k)
+                case = (list(g.edges()), closed, state, k)
+                assert list(_successors(adj, state, k, set())) == expected, case
+                seen = {union for union, _ in expected if rng.random() < 0.5}
+                fresh = [(union, shot) for union, shot in expected if union not in seen]
+                assert list(_successors(adj, state, k, seen)) == fresh, case
+    # a shot whose key a join from an earlier entry already holds must leave
+    # the join's mask in place; random graphs seldom reach that collision
+    g = graph_from_edges(8, [(0, 1), (0, 3), (0, 6), (0, 7), (2, 6), (2, 7), (3, 5), (3, 7)])
+    assert list(_successors(g.adj, g.full_mask, 3, set())) == naive_successors(g.adj, g.full_mask, 3)
 
 
 # ---------------------------------------------------------------------------
