@@ -22,9 +22,10 @@ def instances():
         yield f"star {n}", star_graph(n)
     for n in range(3, 7):
         yield f"cycle {n}", cycle_graph(n)
-    for m, n in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5)]:
+    for m, n in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5),
+                 (5, 6), (6, 6)]:
         yield f"grid {m}x{n}", grid_graph(m, n)
-    for n in range(1, 5):
+    for n in range(1, 6):
         yield f"cube {n}", hypercube_graph(n)
 
 

@@ -35,7 +35,8 @@ USAGE_ERRORS = (InvalidParameterError, CapacityError, FormatError, HomomorphismE
                 InapplicableError, InvalidOrderError, InvalidStrategyError,
                 NonTerminatingError)
 
-BUDGET_HELP = "work budget: subsets enumerated plus search successors generated"
+BUDGET_HELP = ("work budget: one unit per subset a union bound may visit, plus one per kept "
+               "set of each position set R the search expands, C(|R|, k) for R")
 
 FAMILIES = {
     "path": (1, graphs.path_graph),

@@ -27,7 +27,6 @@ from huntrab.cube import (
     subset_neighborhood,
 )
 from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, extend_parity, run, step, verify
-from huntrab.errors import BudgetExceededError
 from huntrab.graphs import cycle_graph, grid_graph, hypercube_graph, path_graph, star_graph
 from huntrab.nesting import (
     check_closed_nesting,
@@ -105,15 +104,17 @@ def test_criterion_4_closed_form_chain():
 
 
 def test_criterion_5_exact_solver_matches_closed_form_on_cubes():
-    with criterion(5, "exact solver equals the closed form on small cubes"):
-        for n in (1, 2, 3):
+    with criterion(5, "exact solver equals the closed form on cubes up to Q5"):
+        for n in (1, 2, 3, 4):
             assert hunter_number(hypercube_graph(n)).hunter_number == cube_hunter_number(n)
-        try:
-            result = hunter_number(hypercube_graph(4), budget=10**6)  # needs 355,583 units
-        except BudgetExceededError:
-            pass  # permitted for the 4-cube
-        else:
-            assert result.hunter_number == 5
+        # the first cube past Q4 on the search route: the parity split needs
+        # 2,199,060 units, where the full-set union profile alone would be
+        # 2^32 - 1
+        q5 = hypercube_graph(5)
+        result = hunter_number(q5)
+        assert result.hunter_number == cube_hunter_number(5) == 8
+        assert result.witness.max_hunters <= 8
+        assert isinstance(verify(q5, result.witness), Caught)
 
 
 def test_criterion_6_compression_suite():

@@ -11,6 +11,7 @@ from huntrab.errors import BudgetExceededError, InvalidParameterError
 from huntrab.graphs import (
     bipartition,
     bits,
+    components,
     cycle_graph,
     graph_from_edges,
     grid_graph,
@@ -164,6 +165,8 @@ def test_can_clear_validation():
         can_clear(path_graph(2), 0)
     with pytest.raises(InvalidParameterError):
         can_clear(path_graph(2), 1, "loud")
+    with pytest.raises(InvalidParameterError):
+        can_clear(path_graph(2), 1, start=0b100)
 
 
 def test_can_clear_agrees_with_reference_search():
@@ -312,8 +315,9 @@ def test_union_budget_is_cumulative_across_k():
 
 
 def test_hunter_number_budget_covers_the_bound_phase():
+    # the two side profiles of grid 4x4 cost 2 * (2^8 - 1) = 510 units
     with pytest.raises(BudgetExceededError) as exc:
-        hunter_number(grid_graph(4, 4), budget=1000)
+        hunter_number(grid_graph(4, 4), budget=500)
     assert exc.value.phase == "bound"
     assert exc.value.best_lower_bound == 2  # the degeneracy, which costs no budget
 
@@ -362,6 +366,40 @@ def test_parity_consistency_on_bipartite_families():
         for part in (parts.even, parts.odd):
             k = next(k for k in range(1, g.n + 1) if naive_can_clear(g, k, STANDARD, start=part))
             assert k == exact, g
+
+
+def _full_start_hunter_number(g):
+    return next(k for k in range(1, g.n + 1) if can_clear(g, k).status == CLEARED)
+
+
+def test_parity_split_matches_full_set_search():
+    # the split solve against the full-set search, its oracle
+    rng = random.Random(707)
+    cases = [path_graph(2), path_graph(3), star_graph(1), star_graph(4), star_graph(7)]
+    cases += [cycle_graph(n) for n in (4, 6, 8, 10)]
+    cases.append(graph_from_edges(5, [(0, 1), (1, 2), (2, 3)]))  # vertex 4 isolated
+    while len(cases) < 150:
+        g = _random_bipartite_graph(rng, 12)
+        if len(components(g)) == 1:
+            cases.append(g)
+    for g in cases:
+        result = hunter_number(g)
+        exact = _full_start_hunter_number(g)
+        assert result.hunter_number == exact, list(g.edges())
+        assert result.lower_bound_used <= exact
+        assert result.witness.max_hunters <= exact
+        assert isinstance(verify(g, result.witness, "any"), Caught), list(g.edges())
+
+
+def test_paired_seed_stays_below_the_odd_start():
+    # the per-side rule union_surplus(side) + 1 would seed P3's odd side at
+    # 2 hunters, but one hunter clears it from there
+    p3 = path_graph(3)
+    odd = bipartition(p3).odd
+    assert union_surplus(p3, "odd") + 1 == 2
+    assert can_clear(p3, 1, start=odd).status == CLEARED
+    result = hunter_number(p3)
+    assert result.lower_bound_used == result.hunter_number == 1
 
 
 def test_k_monotonicity_small_sample():
