@@ -30,7 +30,6 @@ from .graphs import (
     degeneracy,
     graph_from_edges,
     grid_graph,
-    homomorphism_bound,
     hypercube_graph,
     neighborhood,
     path_graph,

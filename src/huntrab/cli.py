@@ -21,7 +21,6 @@ from .errors import (
     BudgetExceededError,
     CapacityError,
     FormatError,
-    HomomorphismError,
     InapplicableError,
     InvalidOrderError,
     InvalidParameterError,
@@ -31,9 +30,8 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 
-USAGE_ERRORS = (InvalidParameterError, CapacityError, FormatError, HomomorphismError,
-                InapplicableError, InvalidOrderError, InvalidStrategyError,
-                NonTerminatingError)
+USAGE_ERRORS = (InvalidParameterError, CapacityError, FormatError, InapplicableError,
+                InvalidOrderError, InvalidStrategyError, NonTerminatingError)
 
 BUDGET_HELP = ("work budget: one unit per subset a union bound may visit, plus one per kept "
                "set of each position set R the search expands, C(|R|, k) for R")
@@ -78,23 +76,6 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def _load_graph(path: str) -> graphs.Graph:
     return graphs.read_graph(path)
-
-
-def _looks_like_hypercube(g: graphs.Graph) -> int | None:
-    """Dimension of g if its labels are exactly the subset-coded bit strings."""
-    if g.labels is None or g.n == 0:
-        return None
-    n = g.n.bit_length() - 1
-    if g.n != 1 << n:
-        return None
-    for v in range(g.n):
-        if g.labels[v] != "".join("1" if v >> j & 1 else "0" for j in range(n)):
-            return None
-    for v in range(g.n):
-        expected = graphs.mask_of(v ^ (1 << b) for b in range(n))
-        if g.adj[v] != expected:
-            return None
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +132,11 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         "union_bound": solver.lower_bound_union(g, mode, solver.Meter(args.budget, degeneracy)),
         "degeneracy_bound": degeneracy,
     }
-    dim = _looks_like_hypercube(g)
-    if dim is not None and dim >= 1 and not args.deaf:
-        weight_map = [v.bit_count() for v in range(g.n)]
-        results["hypercube_upper"] = graphs.homomorphism_bound(
-            g, graphs.path_graph(dim + 1), weight_map, 1)
+    # a graph identical to gen hypercube's Q^n, labels included, projects
+    # onto its weight path with the weight layers as fibers
+    dim = g.n.bit_length() - 1
+    if not args.deaf and 1 <= dim <= graphs.MAX_HYPERCUBE_DIM and g == graphs.hypercube_graph(dim):
+        results["hypercube_upper"] = cube_mod.cube_hunter_upper(dim)
     return {"inputs": {"graph": _digest(args.graph)}, "results": results, "warnings": []}, 0
 
 
@@ -237,13 +218,13 @@ def _cube_report(args) -> tuple[dict, list[str]]:
             warnings.append(f"closed form {closed_form} disagrees with profile scan {scan}")
     elif sub == "diffseq":
         seq = cube_mod.cube_diff_seq(n, args.side)
-        results = {"side": args.side, "length": len(seq.values),
-                   "diffseq": " ".join(str(v) for v in seq.values)}
+        results = {"side": args.side, "length": len(seq),
+                   "diffseq": " ".join(str(v) for v in seq)}
         if n == 4:
             quoted = " ".join(str(v) for v in cube_mod.QUOTED_DIFFSEQ_Q4)
             warnings.append(
                 f"a quoted version of this sequence has {len(cube_mod.QUOTED_DIFFSEQ_Q4)} entries "
-                f"({quoted}); the {args.side} side of Q^4 has only {len(seq.values)} vertices, "
+                f"({quoted}); the {args.side} side of Q^4 has only {len(seq)} vertices, "
                 "so the extra trailing zero is dropped here")
     elif sub == "mun":
         if args.k is None:

@@ -17,13 +17,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain
-from typing import Iterable
+from itertools import chain
 
 from .errors import InvalidParameterError
-from .orders import iter_weightlex, weightlex_positions
 
 # Values in circulation for two Q^4 quantities disagree with direct
 # computation; reports surface the difference instead of silently picking one.
@@ -94,16 +91,6 @@ def _join(x: _Summary, y: _Summary) -> _Summary:
     return (length + y_length, total + y_total, best, pos)
 
 
-def arrow_len(n: int, i: int) -> int:
-    """Length of the (n, i) arrow sequence: comb(n+i, i)."""
-    return math.comb(n + i, i)
-
-
-def arrow_sum(n: int, i: int) -> int:
-    """Sum of the (n, i) arrow sequence: comb(n+i, i+1)."""
-    return comb0(n + i, i + 1)
-
-
 def arrow_max_scan(n: int, i: int) -> tuple[int, int]:
     """Last position (1-based) and value of the maximum of the running
     prefix-sum-minus-position over the (n, i) arrow sequence."""
@@ -138,18 +125,10 @@ def arrow_max_value_formula(n: int, i: int) -> int:
 # Difference sequences and profiles
 
 
-@dataclass(frozen=True)
-class DiffSeq:
-    """First differences of a neighborhood-union profile of Q^n."""
-
-    n: int
-    side: str  # "even" or "odd"
-    values: tuple[int, ...]
-
-
-def cube_diff_seq(n: int, side: str = "even") -> DiffSeq:
-    """Difference sequence of the whole even or odd side of Q^n: the
-    subsequences of its weight layers in order.
+def cube_diff_seq(n: int, side: str = "even") -> tuple[int, ...]:
+    """Difference sequence of the whole even or odd side of Q^n, the first
+    differences of its minimum neighborhood-union profile: the subsequences
+    of its weight layers in order.
 
     Layer i is the arrow sequence (n-i, i), except that layer 1's first
     vertex is the only one whose neighborhood reaches down to a vertex (the
@@ -162,15 +141,15 @@ def cube_diff_seq(n: int, side: str = "even") -> DiffSeq:
     layers = _arrow_row(n, n, n, _single, operator.add)
     layers[1] = (n,) + layers[1][1:]
     parity = 0 if side == "even" else 1
-    return DiffSeq(n, side, tuple(chain.from_iterable(layers[parity::2])))
+    return tuple(chain.from_iterable(layers[parity::2]))
 
 
 def cube_min_union(n: int, k: int, side: str = "even") -> int:
     """Analytic minimum union of k neighborhoods on one side of Q^n."""
     seq = cube_diff_seq(n, side)
-    if not 1 <= k <= len(seq.values):
-        raise InvalidParameterError(f"k={k} out of range 1..{len(seq.values)}")
-    return sum(seq.values[:k])
+    if not 1 <= k <= len(seq):
+        raise InvalidParameterError(f"k={k} out of range 1..{len(seq)}")
+    return sum(seq[:k])
 
 
 def cube_surplus(n: int) -> int:
@@ -214,153 +193,7 @@ def cube_surplus_closed_form(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Compression
-
-
-@dataclass(frozen=True)
-class QuadrantDecomposition:
-    """A family of even-size subsets split by membership of elements i and j,
-    with i/j projected out, so each quadrant lives in the (n-2)-element
-    ground set."""
-
-    i: int
-    j: int
-    n: int
-    without_both: frozenset[int]
-    with_i: frozenset[int]
-    with_j: frozenset[int]
-    with_both: frozenset[int]
-
-    def sizes(self) -> tuple[int, int, int, int]:
-        return (len(self.without_both), len(self.with_i), len(self.with_j), len(self.with_both))
-
-    def reassemble(self) -> frozenset[int]:
-        bi = 1 << (self.i - 1)
-        bj = 1 << (self.j - 1)
-        out = set(self.without_both)
-        out.update(x | bi for x in self.with_i)
-        out.update(x | bj for x in self.with_j)
-        out.update(x | bi | bj for x in self.with_both)
-        return frozenset(out)
-
-
-def _check_even_family(family: Iterable[int], n: int) -> frozenset[int]:
-    fam = frozenset(family)
-    for x in fam:
-        if x >> n:
-            raise InvalidParameterError(f"subset {x:#x} uses elements beyond {n}")
-        if x.bit_count() % 2:
-            raise InvalidParameterError("family must contain even-size subsets only")
-    return fam
-
-
-def decompose_ij(family: Iterable[int], i: int, j: int, n: int) -> QuadrantDecomposition:
-    if not (1 <= i <= n and 1 <= j <= n and i != j):
-        raise InvalidParameterError(f"need distinct i, j in 1..{n}")
-    fam = _check_even_family(family, n)
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    q00, q10, q01, q11 = set(), set(), set(), set()
-    for x in fam:
-        has_i, has_j = bool(x & bi), bool(x & bj)
-        if has_i and has_j:
-            q11.add(x & ~bi & ~bj)
-        elif has_i:
-            q10.add(x & ~bi)
-        elif has_j:
-            q01.add(x & ~bj)
-        else:
-            q00.add(x)
-    return QuadrantDecomposition(i, j, n, frozenset(q00), frozenset(q10),
-                                 frozenset(q01), frozenset(q11))
-
-
-def _ground_init(ground: tuple[int, ...], parity: int, size: int) -> frozenset[int]:
-    out = []
-    for mask in iter_weightlex(ground, parity):
-        if len(out) == size:
-            break
-        out.append(mask)
-    return frozenset(out)
-
-
-def compress_ij(family: Iterable[int], i: int, j: int, n: int) -> frozenset[int]:
-    """Replace each (i, j)-quadrant of the family with the initial weightlex
-    segment of its size in the reduced ground set, then reassemble.
-
-    Preserves the family size and never increases the neighborhood size.
-    """
-    dec = decompose_ij(family, i, j, n)
-    ground = tuple(e for e in range(1, n + 1) if e not in (dec.i, dec.j))
-    return QuadrantDecomposition(
-        dec.i, dec.j, n,
-        _ground_init(ground, 0, len(dec.without_both)),
-        _ground_init(ground, 1, len(dec.with_i)),
-        _ground_init(ground, 1, len(dec.with_j)),
-        _ground_init(ground, 0, len(dec.with_both)),
-    ).reassemble()
-
-
-def is_compressed(family: Iterable[int], n: int) -> bool:
-    fam = frozenset(family)
-    return all(compress_ij(fam, i, j, n) == fam
-               for i in range(1, n + 1) for j in range(i + 1, n + 1))
-
-
-def compress_fully(family: Iterable[int], n: int) -> tuple[frozenset[int], int]:
-    """Apply the lowest violated (i, j) compression until none remains.
-
-    Returns the terminal family and the number of compression steps; the sum
-    of 1-based weightlex positions strictly decreases at every step, which
-    bounds the number of steps.
-    """
-    fam = _check_even_family(family, n)
-    positions = weightlex_positions(n)
-    potential = sum(positions[x] for x in fam)
-    steps = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                nxt = compress_ij(fam, i, j, n)
-                if nxt != fam:
-                    nxt_potential = sum(positions[x] for x in nxt)
-                    assert nxt_potential < potential, "compression potential must drop"
-                    fam, potential = nxt, nxt_potential
-                    steps += 1
-                    changed = True
-                    break
-            if changed:
-                break
-    return fam, steps
-
-
-def subset_neighborhood(family: Iterable[int], n: int) -> frozenset[int]:
-    """Open neighborhood of a subset family inside Q^n (bit-flip neighbors)."""
-    out: set[int] = set()
-    for x in family:
-        for b in range(n):
-            out.add(x ^ (1 << b))
-    return frozenset(out)
-
-
-def initial_even_segment(n: int, size: int) -> frozenset[int]:
-    """First `size` even-size subsets of {1..n} in weightlex order."""
-    return _ground_init(tuple(range(1, n + 1)), 0, size)
-
-
-# ---------------------------------------------------------------------------
 # Deaf rabbit
-
-
-def cube_deaf_closed_profile(n: int) -> tuple[int, ...]:
-    """Closed neighborhood-union profile of Q^n along weightlex segments.
-
-    Its first differences are n+1 (the first closed neighborhood) followed
-    by the arrow sequences (n-w, w) for w = 1..n.
-    """
-    _check_dim(n)
-    return tuple(accumulate(chain((n + 1,), *_arrow_row(n, n, n, _single, operator.add)[1:])))
 
 
 def cube_deaf_surplus(n: int) -> int:

@@ -10,8 +10,6 @@ position sets: trace[i+1] results from shots[i] applied to trace[i].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
 from .errors import FormatError, InvalidParameterError, InvalidStrategyError
 from .graphs import Bipartition, Graph, bipartition, iter_bits, mask_of, neighborhood, side_mask
 
@@ -207,7 +205,3 @@ def write_strategy(strategy: Strategy, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_strategy(strategy))
 
-
-def shots_from_vertices(shot_lists: Iterable[Iterable[int]], variant: str = STANDARD) -> Strategy:
-    """Convenience constructor from iterables of vertex indices."""
-    return Strategy(tuple(mask_of(vs) for vs in shot_lists), variant)

@@ -23,14 +23,6 @@ class InvalidStrategyError(ValueError):
     """A strategy is not compatible with the graph it is run on."""
 
 
-class HomomorphismError(ValueError):
-    """A vertex map does not send every edge to an edge."""
-
-    def __init__(self, edge: tuple[int, int], message: str):
-        super().__init__(message)
-        self.edge = edge
-
-
 class InvalidOrderError(ValueError):
     """A nest order does not have the required segment structure."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, FormatError, HomomorphismError, InvalidParameterError
+from .errors import CapacityError, FormatError, InvalidParameterError
 
 # Hypercubes materialize one neighbor mask per vertex; each mask is a 2^n-bit
 # int, so memory grows like 4^n bytes.  14 keeps it under ~40 MB.
@@ -261,28 +261,6 @@ def induced_subgraph(g: Graph, vset: int) -> tuple[Graph, list[int]]:
     edges = [(index[u], index[v]) for u, v in g.edges() if vset >> u & 1 and vset >> v & 1]
     labels = tuple(g.labels[v] for v in old) if g.labels is not None else None
     return graph_from_edges(len(old), edges, labels), old
-
-
-def homomorphism_bound(g: Graph, h: Graph, phi: Sequence[int], hun_h: int) -> int:
-    """Hunter-count bound transported through a graph homomorphism.
-
-    Validates that phi maps every edge of g to an edge of h, then returns
-    k * hun_h where k is the largest fiber size of phi.
-    """
-    if len(phi) != g.n:
-        raise InvalidParameterError("vertex map must be total on the source graph")
-    if hun_h < 1:
-        raise InvalidParameterError("target hunter count must be positive")
-    for u, v in g.edges():
-        pu, pv = phi[u], phi[v]
-        if not (0 <= pu < h.n and 0 <= pv < h.n):
-            raise HomomorphismError((u, v), f"edge ({u},{v}) maps outside the target graph")
-        if pu == pv or not h.has_edge(pu, pv):
-            raise HomomorphismError((u, v), f"edge ({u},{v}) does not map to an edge ({pu},{pv})")
-    fibers = [0] * h.n
-    for v in range(g.n):
-        fibers[phi[v]] += 1
-    return max(fibers) * hun_h
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ uses one order on all vertices and closed neighborhoods (deaf rabbit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterator
 
 from .dynamics import DEAF, STANDARD, Strategy, step
 from .errors import (
@@ -21,7 +23,6 @@ from .errors import (
     NonTerminatingError,
 )
 from .graphs import Graph, iter_bits, mask_of, neighborhood, side_mask
-from .orders import grid_key, weightlex_key
 from .solver import DEFAULT_BUDGET, Meter, as_meter, min_union_profile
 
 BIPARTITE = "bipartite"
@@ -81,25 +82,49 @@ def initial_segment(order: NestOrder, part: str, k: int) -> int:
 # Built-in orders
 
 
-def _cube_dim(g: Graph) -> int:
+def iter_weightlex(ground: tuple[int, ...], parity: int | None = None) -> Iterator[int]:
+    """Subsets of the given ground elements (1-based) in weightlex order:
+    by size, then lex, where x precedes y when the smallest element of the
+    symmetric difference lies in x.  Subset masks use bit j for element
+    j+1, like hypercube vertices.
+
+    For a fixed size, combinations of the ascending element list enumerate
+    exactly the lex order, so no sorting is needed.  parity 0/1 restricts to
+    even/odd sizes.
+    """
+    for w in range(len(ground) + 1):
+        if parity is not None and w % 2 != parity:
+            continue
+        for combo in combinations(ground, w):
+            mask = 0
+            for e in combo:
+                mask |= 1 << (e - 1)
+            yield mask
+
+
+def _cube_ground(g: Graph) -> tuple[int, ...]:
+    """The elements 1..n of a graph on 2^n vertices, n >= 0."""
     n = g.n.bit_length() - 1
-    if g.n != 1 << n:
+    if n < 0 or g.n != 1 << n:
         raise InvalidParameterError("weightlex orders need a subset-coded hypercube graph")
-    return n
+    return tuple(range(1, n + 1))
 
 
 def weightlex_nest_order(g: Graph) -> NestOrder:
     """Weightlex on each part of a subset-coded hypercube."""
-    n = _cube_dim(g)
-    even = sorted((v for v in range(g.n) if v.bit_count() % 2 == 0), key=lambda v: weightlex_key(v, n))
-    odd = sorted((v for v in range(g.n) if v.bit_count() % 2 == 1), key=lambda v: weightlex_key(v, n))
-    return NestOrder(BIPARTITE, tuple(even), tuple(odd))
+    ground = _cube_ground(g)
+    return NestOrder(BIPARTITE, tuple(iter_weightlex(ground, 0)), tuple(iter_weightlex(ground, 1)))
 
 
 def weightlex_full_order(g: Graph) -> NestOrder:
     """Weightlex on all vertices of a subset-coded hypercube (closed variant)."""
-    n = _cube_dim(g)
-    return NestOrder(FULL, order_all=tuple(sorted(range(g.n), key=lambda v: weightlex_key(v, n))))
+    return NestOrder(FULL, order_all=tuple(iter_weightlex(_cube_ground(g))))
+
+
+def grid_key(cell: tuple[int, int]):
+    """Diagonal sweep order on grid cells: by x+y, ties by smaller x."""
+    x, y = cell
+    return (x + y, x)
 
 
 def grid_nest_order(m: int, n: int) -> NestOrder:
@@ -239,7 +264,8 @@ def hunter_number_via_nesting(g: Graph, order: NestOrder,
                               budget: int | Meter = DEFAULT_BUDGET) -> int:
     """Hunter number from a verified nest order: checks the nesting and that
     the side surpluses differ by at most one (always so for the single side
-    of a full order), then returns min(surpluses) + 1."""
+    of a full order), then returns min(surpluses) + 1, and at least 1 on a
+    graph with a vertex."""
     check = check_isoperimetric_nesting if order.kind == BIPARTITE else check_closed_nesting
     report = check(g, order, budget)
     if not report.ok:
@@ -249,7 +275,11 @@ def hunter_number_via_nesting(g: Graph, order: NestOrder,
         raise InapplicableError(
             f"side surpluses differ by more than one (even {u['even']}, odd {u['odd']})",
             u_even=u["even"], u_odd=u["odd"])
-    return min(u.values()) + 1
+    if g.n == 0:
+        return 0
+    # as in solver.hunter_number, a graph with a vertex takes a hunter even
+    # where the rabbit cannot move (Q0's sides give min(u) + 1 = 0)
+    return max(1, min(u.values()) + 1)
 
 
 # ---------------------------------------------------------------------------

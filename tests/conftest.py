@@ -7,11 +7,17 @@ they produce check the implementation through a second route.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from huntrab.graphs import Graph, graph_from_edges
+from huntrab.cube import comb0
+from huntrab.dynamics import STANDARD, Strategy
+from huntrab.errors import InvalidParameterError
+from huntrab.graphs import Graph, graph_from_edges, mask_of
+from huntrab.nesting import iter_weightlex
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -66,6 +72,16 @@ def layer_diff_seq(n: int, i: int) -> tuple[int, ...]:
     return (n,) + values[1:] if i == 1 else values
 
 
+def arrow_len(n: int, i: int) -> int:
+    """Length of the (n, i) arrow sequence: comb(n+i, i)."""
+    return math.comb(n + i, i)
+
+
+def arrow_sum(n: int, i: int) -> int:
+    """Sum of the (n, i) arrow sequence: comb(n+i, i+1)."""
+    return comb0(n + i, i + 1)
+
+
 def arrow_len_sum(n: int, i: int) -> tuple[int, int]:
     """Reference (length, sum) of the arrow sequence (n, i): the defining
     recursion applied to (length, sum) pairs instead of sequences, over the
@@ -77,6 +93,14 @@ def arrow_len_sum(n: int, i: int) -> tuple[int, int]:
             (len1, sum1), (len2, sum2) = table[a, b - 1], table[a - 1, b]
             table[a, b] = (len1 + len2, sum1 + sum2)
     return table[n, i]
+
+
+def cube_deaf_closed_profile(n: int) -> tuple[int, ...]:
+    """Reference closed neighborhood-union profile of Q^n along weightlex
+    segments: its first differences are n+1 (the first closed neighborhood)
+    followed by the arrow sequences (n-w, w) for w = 1..n."""
+    layers = (arrow_seq(n - w, w) for w in range(1, n + 1))
+    return tuple(itertools.accumulate(itertools.chain((n + 1,), *layers)))
 
 
 def weightlex_coverage(n: int, closed: bool = False, parity: int | None = None) -> Iterator[int]:
@@ -113,6 +137,189 @@ def max_prefix_surplus(values: Iterable[int]) -> tuple[int, int]:
         if best_val is None or total - pos >= best_val:
             best_pos, best_val = pos, total - pos
     return best_pos, best_val
+
+
+# ---------------------------------------------------------------------------
+# Orders on subsets of {1..n}, bitmask-encoded like hypercube vertices (bit j
+# <=> element j+1).  The lex order puts x before y exactly when the smallest
+# element of the symmetric difference lies in x; sorting same-size subsets by
+# their ascending element tuples realizes it, and padding the tuples to full
+# length keeps the comparison correct across sizes ({1,2,3} precedes {1,2}).
+# Weightlex sorts by size first, then lex.
+
+
+def elements(mask: int) -> tuple[int, ...]:
+    """1-based elements of a subset mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def lex_key(mask: int, n: int):
+    """Sort key realizing the lex order on subsets of {1..n}."""
+    els = elements(mask)
+    return els + (n + 1,) * (n - len(els))
+
+
+def weightlex_key(mask: int, n: int):
+    """Sort key realizing the weightlex order: size first, then lex."""
+    return (mask.bit_count(),) + lex_key(mask, n)
+
+
+def weightlex_positions(n: int) -> dict[int, int]:
+    """1-based weightlex rank of every subset of {1..n}."""
+    ranked = sorted(range(1 << n), key=lambda v: weightlex_key(v, n))
+    return {mask: pos for pos, mask in enumerate(ranked, start=1)}
+
+
+# ---------------------------------------------------------------------------
+# (i, j)-compression of even-size subset families of {1..n}, the paper's
+# proof step for the cube's nesting: each quadrant by membership of i and j
+# is replaced with the initial weightlex segment of its size.
+
+
+@dataclass(frozen=True)
+class QuadrantDecomposition:
+    """A family of even-size subsets split by membership of elements i and j,
+    with i/j projected out, so each quadrant lives in the (n-2)-element
+    ground set."""
+
+    i: int
+    j: int
+    n: int
+    without_both: frozenset[int]
+    with_i: frozenset[int]
+    with_j: frozenset[int]
+    with_both: frozenset[int]
+
+    def sizes(self) -> tuple[int, int, int, int]:
+        return (len(self.without_both), len(self.with_i), len(self.with_j), len(self.with_both))
+
+    def reassemble(self) -> frozenset[int]:
+        bi = 1 << (self.i - 1)
+        bj = 1 << (self.j - 1)
+        out = set(self.without_both)
+        out.update(x | bi for x in self.with_i)
+        out.update(x | bj for x in self.with_j)
+        out.update(x | bi | bj for x in self.with_both)
+        return frozenset(out)
+
+
+def _check_even_family(family: Iterable[int], n: int) -> frozenset[int]:
+    fam = frozenset(family)
+    for x in fam:
+        if x >> n:
+            raise InvalidParameterError(f"subset {x:#x} uses elements beyond {n}")
+        if x.bit_count() % 2:
+            raise InvalidParameterError("family must contain even-size subsets only")
+    return fam
+
+
+def decompose_ij(family: Iterable[int], i: int, j: int, n: int) -> QuadrantDecomposition:
+    if not (1 <= i <= n and 1 <= j <= n and i != j):
+        raise InvalidParameterError(f"need distinct i, j in 1..{n}")
+    fam = _check_even_family(family, n)
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    q00, q10, q01, q11 = set(), set(), set(), set()
+    for x in fam:
+        has_i, has_j = bool(x & bi), bool(x & bj)
+        if has_i and has_j:
+            q11.add(x & ~bi & ~bj)
+        elif has_i:
+            q10.add(x & ~bi)
+        elif has_j:
+            q01.add(x & ~bj)
+        else:
+            q00.add(x)
+    return QuadrantDecomposition(i, j, n, frozenset(q00), frozenset(q10),
+                                 frozenset(q01), frozenset(q11))
+
+
+def _ground_init(ground: tuple[int, ...], parity: int, size: int) -> frozenset[int]:
+    out = []
+    for mask in iter_weightlex(ground, parity):
+        if len(out) == size:
+            break
+        out.append(mask)
+    return frozenset(out)
+
+
+def compress_ij(family: Iterable[int], i: int, j: int, n: int) -> frozenset[int]:
+    """Replace each (i, j)-quadrant of the family with the initial weightlex
+    segment of its size in the reduced ground set, then reassemble.
+
+    Preserves the family size and never increases the neighborhood size.
+    """
+    dec = decompose_ij(family, i, j, n)
+    ground = tuple(e for e in range(1, n + 1) if e not in (dec.i, dec.j))
+    return QuadrantDecomposition(
+        dec.i, dec.j, n,
+        _ground_init(ground, 0, len(dec.without_both)),
+        _ground_init(ground, 1, len(dec.with_i)),
+        _ground_init(ground, 1, len(dec.with_j)),
+        _ground_init(ground, 0, len(dec.with_both)),
+    ).reassemble()
+
+
+def is_compressed(family: Iterable[int], n: int) -> bool:
+    fam = frozenset(family)
+    return all(compress_ij(fam, i, j, n) == fam
+               for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+def compress_fully(family: Iterable[int], n: int) -> tuple[frozenset[int], int]:
+    """Apply the lowest violated (i, j) compression until none remains.
+
+    Returns the terminal family and the number of compression steps; the sum
+    of 1-based weightlex positions strictly decreases at every step, which
+    bounds the number of steps.
+    """
+    fam = _check_even_family(family, n)
+    positions = weightlex_positions(n)
+    potential = sum(positions[x] for x in fam)
+    steps = 0
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                nxt = compress_ij(fam, i, j, n)
+                if nxt != fam:
+                    nxt_potential = sum(positions[x] for x in nxt)
+                    assert nxt_potential < potential, "compression potential must drop"
+                    fam, potential = nxt, nxt_potential
+                    steps += 1
+                    changed = True
+                    break
+            if changed:
+                break
+    return fam, steps
+
+
+def subset_neighborhood(family: Iterable[int], n: int) -> frozenset[int]:
+    """Open neighborhood of a subset family inside Q^n (bit-flip neighbors)."""
+    out: set[int] = set()
+    for x in family:
+        for b in range(n):
+            out.add(x ^ (1 << b))
+    return frozenset(out)
+
+
+def initial_even_segment(n: int, size: int) -> frozenset[int]:
+    """First `size` even-size subsets of {1..n} in weightlex order."""
+    return _ground_init(tuple(range(1, n + 1)), 0, size)
+
+
+# ---------------------------------------------------------------------------
+# Graphs and strategies
+
+
+def shots_from_vertices(shot_lists: Iterable[Iterable[int]], variant: str = STANDARD) -> Strategy:
+    """A strategy from iterables of vertex indices, one per shot."""
+    return Strategy(tuple(mask_of(vs) for vs in shot_lists), variant)
 
 
 def brute_degeneracy(g: Graph) -> int:

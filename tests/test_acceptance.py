@@ -11,22 +11,25 @@ import time
 from contextlib import contextmanager
 from itertools import accumulate
 
-from conftest import random_graph, random_mask
-from huntrab import cli
-from huntrab.cube import (
+from conftest import (
     compress_fully,
     compress_ij,
+    initial_even_segment,
+    is_compressed,
+    random_graph,
+    random_mask,
+    subset_neighborhood,
+)
+from huntrab import cli
+from huntrab.cube import (
     cube_deaf_surplus,
     cube_diff_seq,
     cube_hunter_number,
     cube_hunter_upper,
     cube_surplus,
     cube_surplus_closed_form,
-    initial_even_segment,
-    is_compressed,
-    subset_neighborhood,
 )
-from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, extend_parity, run, step, verify
+from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, step, verify
 from huntrab.graphs import cycle_graph, grid_graph, hypercube_graph, path_graph, star_graph
 from huntrab.nesting import (
     check_closed_nesting,
@@ -82,13 +85,13 @@ def test_criterion_3_analytic_profiles_match_brute_force():
     with criterion(3, "analytic cube profiles equal brute force for n <= 5, both sides"):
         for n in range(1, 6):
             g = hypercube_graph(n)
-            analytic = tuple(accumulate(cube_diff_seq(n, "even").values))
+            analytic = tuple(accumulate(cube_diff_seq(n, "even")))
             even = min_union_profile(g, "even").values
             odd = min_union_profile(g, "odd").values
             assert even == analytic
             assert odd == analytic
             assert even == odd
-            assert tuple(accumulate(cube_diff_seq(n, "odd").values)) == analytic
+            assert tuple(accumulate(cube_diff_seq(n, "odd"))) == analytic
 
 
 def test_criterion_4_closed_form_chain():

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from huntrab import cli, solver
 from huntrab.dynamics import STANDARD, Caught, Strategy, read_strategy, verify
-from huntrab.graphs import hypercube_graph, read_graph, write_graph
+from huntrab.graphs import format_graph, graph_from_edges, hypercube_graph, read_graph
+from huntrab.nesting import BIPARTITE, NestOrder, hunter_number_via_nesting, weightlex_nest_order
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -176,6 +178,37 @@ def test_bounds_q3_deaf(tmp_path, capsys):
     assert report["results"]["mode"] == "closed"
 
 
+def test_bounds_hypercube_upper_is_the_largest_weight_layer(tmp_path, capsys, monkeypatch):
+    # the union profile of Q5 and Q6 is past any practical budget, and the
+    # upper bound does not depend on it
+    monkeypatch.setattr(solver, "lower_bound_union", lambda *args: 0)
+    for n in range(1, 7):
+        path = tmp_path / f"q{n}.graph"
+        run_cli(capsys, "gen", "hypercube", str(n), "-o", str(path))
+        code, report = run_json(capsys, "bounds", str(path))
+        assert code == 0
+        layers = Counter(label.count("1") for label in read_graph(str(path)).labels)
+        assert report["results"]["hypercube_upper"] == max(layers.values()), n
+
+
+def test_bounds_hypercube_upper_needs_the_subset_coded_cube(tmp_path, capsys):
+    q3 = hypercube_graph(3)
+    perm = [3, 0, 6, 5, 1, 7, 2, 4]
+    relabelled = graph_from_edges(8, [(perm[u], perm[v]) for u, v in q3.edges()],
+                                  [q3.labels[perm.index(v)] for v in range(8)])
+    unlabelled = graph_from_edges(8, list(q3.edges()))
+    for name, g in (("relabelled", relabelled), ("unlabelled", unlabelled)):
+        path = tmp_path / f"{name}.graph"
+        path.write_text(format_graph(g), encoding="utf-8")
+        code, report = run_json(capsys, "bounds", str(path))
+        assert code == 0 and "hypercube_upper" not in report["results"], name
+    path = tmp_path / "q3.graph"
+    run_cli(capsys, "gen", "hypercube", "3", "-o", str(path))
+    assert "hypercube_upper" in run_json(capsys, "bounds", str(path))[1]["results"]
+    code, report = run_json(capsys, "bounds", str(path), "--deaf")
+    assert code == 0 and "hypercube_upper" not in report["results"]
+
+
 # ---------------------------------------------------------------------------
 # strategy / verify
 
@@ -257,6 +290,31 @@ def test_strategy_from_order_file(tmp_path, capsys):
     code, report = run_json(capsys, "strategy", str(graph_path), "--order", str(order_path))
     assert code == 0
     assert report["results"]["hunters"] == 3
+
+
+@pytest.mark.parametrize("flags", [[], ["--deaf"]], ids=["standard", "deaf"])
+def test_strategy_on_the_empty_graph_exit_2(tmp_path, capsys, flags):
+    path = tmp_path / "empty.graph"
+    path.write_text("0 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "strategy", str(path), *flags)
+    assert code == 2 and out == ""
+    assert "hypercube" in err
+
+
+def test_routes_agree_on_q0(tmp_path, capsys):
+    path = tmp_path / "q0.graph"
+    run_cli(capsys, "gen", "hypercube", "0", "-o", str(path))
+    code, report = run_json(capsys, "solve", str(path))
+    assert code == 0 and report["results"]["hunter_number"] == 1
+    q0 = hypercube_graph(0)
+    assert hunter_number_via_nesting(q0, weightlex_nest_order(q0)) == 1
+    empty = graph_from_edges(0, [])
+    assert hunter_number_via_nesting(empty, NestOrder(BIPARTITE, (), ())) == 0
+    assert solver.hunter_number(empty).hunter_number == 0
+    for flags in ([], ["--deaf"]):
+        code, report = run_json(capsys, "strategy", str(path), *flags)
+        assert code == 0
+        assert report["results"]["hunters"] == 1 and report["results"]["verified"] is True
 
 
 def test_verify_escape_exit_4(tmp_path, capsys):

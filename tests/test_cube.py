@@ -5,28 +5,33 @@ from itertools import accumulate
 
 import pytest
 from conftest import (
+    arrow_len,
     arrow_len_sum,
     arrow_seq,
+    arrow_sum,
+    compress_fully,
+    compress_ij,
+    cube_deaf_closed_profile,
+    decompose_ij,
+    initial_even_segment,
+    is_compressed,
     iter_arrow,
     layer_diff_seq,
     max_prefix_surplus,
+    subset_neighborhood,
     weightlex_coverage,
+    weightlex_positions,
 )
 
 from huntrab import cli
 from huntrab.cube import (
     QUOTED_DIFFSEQ_Q4,
     QUOTED_SURPLUS_Q4,
-    arrow_len,
     arrow_max_position_formula,
     arrow_max_scan,
     arrow_max_value_formula,
-    arrow_sum,
     comb0,
-    compress_fully,
-    compress_ij,
     cube_deaf_closed_form,
-    cube_deaf_closed_profile,
     cube_deaf_surplus,
     cube_diff_seq,
     cube_hunter_number,
@@ -34,13 +39,8 @@ from huntrab.cube import (
     cube_min_union,
     cube_surplus,
     cube_surplus_closed_form,
-    decompose_ij,
-    initial_even_segment,
-    is_compressed,
-    subset_neighborhood,
 )
 from huntrab.errors import InvalidParameterError
-from huntrab.orders import weightlex_positions
 
 
 def subset(*elements: int) -> int:
@@ -54,7 +54,7 @@ def cube_layer(n: int, i: int) -> tuple[int, ...]:
     """Weight layer i of Q^n as the library lays it out: a slice of the
     difference sequence of the side that holds the layer."""
     start = sum(math.comb(n, j) for j in range(i % 2, i, 2))
-    values = cube_diff_seq(n, "odd" if i % 2 else "even").values
+    values = cube_diff_seq(n, "odd" if i % 2 else "even")
     return values[start:start + math.comb(n, i)]
 
 
@@ -206,18 +206,18 @@ def test_layer_diff_recursion_at_i2_needs_the_generic_layer1_form():
 
 
 def test_cube_diff_seq_values():
-    assert cube_diff_seq(4, "even").values == (4, 2, 1, 0, 1, 0, 0, 0)
-    assert cube_diff_seq(3, "even").values == (3, 1, 0, 0)
-    assert cube_diff_seq(4, "even").values != QUOTED_DIFFSEQ_Q4
-    assert cube_diff_seq(4, "even").values == QUOTED_DIFFSEQ_Q4[:-1]
+    assert cube_diff_seq(4, "even") == (4, 2, 1, 0, 1, 0, 0, 0)
+    assert cube_diff_seq(3, "even") == (3, 1, 0, 0)
+    assert cube_diff_seq(4, "even") != QUOTED_DIFFSEQ_Q4
+    assert cube_diff_seq(4, "even") == QUOTED_DIFFSEQ_Q4[:-1]
     for n in range(1, 9):
-        assert len(cube_diff_seq(n, "even").values) == 1 << (n - 1)
-        assert cube_diff_seq(n, "even").values == cube_diff_seq(n, "odd").values
+        assert len(cube_diff_seq(n, "even")) == 1 << (n - 1)
+        assert cube_diff_seq(n, "even") == cube_diff_seq(n, "odd")
 
 
 def test_cube_min_union_and_surplus():
     assert cube_min_union(4, 2, "even") == 6
-    assert tuple(accumulate(cube_diff_seq(4, "even").values)) == (4, 6, 7, 7, 8, 8, 8, 8)
+    assert tuple(accumulate(cube_diff_seq(4, "even"))) == (4, 6, 7, 7, 8, 8, 8, 8)
     assert cube_surplus(3) == 2
     assert cube_surplus(4) == 4
     assert cube_surplus(4) != QUOTED_SURPLUS_Q4
@@ -229,7 +229,7 @@ def test_diff_seq_and_surplus_match_coverage_oracle():
     for n in range(1, 11):
         for parity, side in enumerate(("even", "odd")):
             covered = tuple(weightlex_coverage(n, parity=parity))
-            assert tuple(accumulate(cube_diff_seq(n, side).values)) == covered, (n, side)
+            assert tuple(accumulate(cube_diff_seq(n, side))) == covered, (n, side)
     for n in range(1, 19):
         covered = weightlex_coverage(n, parity=0)
         assert cube_surplus(n) == max(c - k for k, c in enumerate(covered, start=1)), n

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_mask
+from conftest import random_graph, random_mask, shots_from_vertices
 from huntrab.dynamics import (
     DEAF,
     STANDARD,
@@ -16,7 +16,6 @@ from huntrab.dynamics import (
     format_strategy,
     parse_strategy,
     run,
-    shots_from_vertices,
     step,
     verify,
 )

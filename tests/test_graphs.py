@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_degeneracy
-from huntrab.errors import CapacityError, FormatError, HomomorphismError, InvalidParameterError
+from huntrab.errors import CapacityError, FormatError, InvalidParameterError
 from huntrab.graphs import (
     Graph,
     bipartition,
@@ -14,7 +14,6 @@ from huntrab.graphs import (
     format_graph,
     graph_from_edges,
     grid_graph,
-    homomorphism_bound,
     hypercube_graph,
     mask_of,
     neighborhood,
@@ -204,30 +203,6 @@ def test_components():
     h = graph_from_edges(5, [(0, 1), (2, 3), (3, 4)])
     assert components(h) == [mask_of([0, 1]), mask_of([2, 3, 4])]
     assert components(graph_from_edges(0, [])) == []
-
-
-# ---------------------------------------------------------------------------
-# Homomorphism bound
-
-
-def test_homomorphism_bound_weight_projection():
-    q3 = hypercube_graph(3)
-    weight = [v.bit_count() for v in range(8)]
-    assert homomorphism_bound(q3, path_graph(4), weight, 1) == 3
-    q4 = hypercube_graph(4)
-    assert homomorphism_bound(q4, path_graph(5), [v.bit_count() for v in range(16)], 1) == 6
-
-
-def test_homomorphism_bound_identity():
-    g = cycle_graph(5)
-    assert homomorphism_bound(g, g, list(range(5)), 7) == 7
-
-
-def test_homomorphism_bound_rejects_non_homomorphism():
-    g = path_graph(3)
-    with pytest.raises(HomomorphismError) as exc:
-        homomorphism_bound(g, path_graph(2), [0, 0, 1], 1)
-    assert exc.value.edge == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a module imports is used in that module, and every public
+name of the package is used by a route: the package itself, the scripts or
+the benchmark."""
 
 import ast
 from pathlib import Path
@@ -7,8 +9,18 @@ import pytest
 
 import huntrab
 
+PACKAGE = Path(huntrab.__file__).parent
+ROOT = PACKAGE.parent.parent
 # __init__.py imports names only to re-export them
-MODULES = sorted(p for p in Path(huntrab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+# the benchmark's own tests call the package like the other tests do
+BENCHMARK = sorted(p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_bench.py")
+
+
+def parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def imported_names(tree: ast.AST) -> set[str]:
@@ -21,9 +33,38 @@ def imported_names(tree: ast.AST) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names read as a variable or as an attribute anywhere in the tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def public_names(tree: ast.Module) -> set[str]:
+    """Top-level functions, classes and constants not marked private."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS + TESTS, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = parse(path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported_names(tree) - used)
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    used = set().union(*(referenced_names(parse(p)) for p in MODULES + SCRIPTS + BENCHMARK))
+    unused = sorted(f"{path.stem}.{name}" for path in MODULES
+                    for name in public_names(parse(path)) - used)
+    assert not unused, f"only the tests use {unused}; move them into tests/conftest.py"

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import lex_key, weightlex_key
 from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, run, verify
 from huntrab.errors import (
     BudgetExceededError,
@@ -27,16 +28,17 @@ from huntrab.nesting import (
     check_closed_nesting,
     check_isoperimetric_nesting,
     format_nest_order,
+    grid_key,
     grid_nest_order,
     hunter_number_via_nesting,
     initial_segment,
+    iter_weightlex,
     nest_strategy,
     parse_nest_order,
     shot_labels,
     weightlex_full_order,
     weightlex_nest_order,
 )
-from huntrab.orders import grid_key, lex_key, weightlex_key
 from huntrab.solver import Meter, hunter_number, union_surplus
 
 from test_dynamics import Q4_SHOT_LABELS
@@ -69,6 +71,21 @@ def test_weightlex_order_on_three_elements():
         subset(1, 2), subset(1, 3), subset(2, 3), subset(1, 2, 3)]
     assert weightlex_key(0, 3) < weightlex_key(subset(1), 3)
     assert weightlex_key(subset(1, 3), 4) < weightlex_key(subset(2, 3), 4)
+
+
+def test_weightlex_orders_equal_the_key_sorted_orders():
+    for n in range(9):
+        g = hypercube_graph(n)
+        ranked = sorted(range(g.n), key=lambda v: weightlex_key(v, n))
+        assert weightlex_full_order(g).order_all == tuple(ranked)
+        order = weightlex_nest_order(g)
+        assert order.order_even == tuple(v for v in ranked if v.bit_count() % 2 == 0)
+        assert order.order_odd == tuple(v for v in ranked if v.bit_count() % 2 == 1)
+    # a ground set with gaps, as compression uses: {1, 3, 4, 6} of {1..6}
+    ground_mask = subset(1, 3, 4, 6)
+    ranked = sorted((v for v in range(64) if v & ~ground_mask == 0), key=lambda v: weightlex_key(v, 6))
+    assert tuple(iter_weightlex((1, 3, 4, 6))) == tuple(ranked)
+    assert tuple(iter_weightlex((1, 3, 4, 6), 1)) == tuple(v for v in ranked if v.bit_count() % 2)
 
 
 def test_weightlex_nest_order_q3():
