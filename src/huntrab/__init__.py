@@ -17,6 +17,7 @@ from .dynamics import (
     Trace,
     concatenate,
     extend_parity,
+    moves,
     run,
     step,
     verify,
@@ -31,7 +32,6 @@ from .graphs import (
     graph_from_edges,
     grid_graph,
     hypercube_graph,
-    neighborhood,
     path_graph,
     star_graph,
 )
@@ -49,13 +49,13 @@ from .nesting import (
 from .solver import (
     ClearResult,
     SolveResult,
-    UnionProfile,
     can_clear,
     hunter_number,
     lower_bound_degeneracy,
     lower_bound_union,
     min_neighborhood_union,
     min_union_profile,
+    surplus,
     union_surplus,
 )
 

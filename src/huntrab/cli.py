@@ -10,6 +10,7 @@ found an escape.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -31,7 +32,7 @@ from .errors import (
 SCHEMA_VERSION = 1
 
 USAGE_ERRORS = (InvalidParameterError, CapacityError, FormatError, InapplicableError,
-                InvalidOrderError, InvalidStrategyError, NonTerminatingError)
+                InvalidOrderError, InvalidStrategyError, NonTerminatingError, OSError)
 
 BUDGET_HELP = ("work budget: one unit per subset a union bound may visit, plus one per kept "
                "set of each position set R the search expands, C(|R|, k) for R")
@@ -74,10 +75,6 @@ def _emit(report: dict, as_json: bool) -> None:
         print(_render_human(report), end="")
 
 
-def _load_graph(path: str) -> graphs.Graph:
-    return graphs.read_graph(path)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -100,7 +97,7 @@ def _cmd_gen(args) -> tuple[dict | None, int]:
 
 
 def _cmd_solve(args) -> tuple[dict | None, int]:
-    g = _load_graph(args.graph)
+    g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     result = solver.hunter_number(g, variant, args.budget)
     outcome = dynamics.verify(g, result.witness)
@@ -124,12 +121,12 @@ def _cmd_solve(args) -> tuple[dict | None, int]:
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
-    g = _load_graph(args.graph)
-    mode = "closed" if args.deaf else "open"
+    g = graphs.read_graph(args.graph)
+    variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     degeneracy = solver.lower_bound_degeneracy(g)
     results = {
-        "mode": mode,
-        "union_bound": solver.lower_bound_union(g, mode, solver.Meter(args.budget, degeneracy)),
+        "mode": "closed" if args.deaf else "open",
+        "union_bound": solver.lower_bound_union(g, variant, solver.Meter(args.budget, degeneracy)),
         "degeneracy_bound": degeneracy,
     }
     # a graph identical to gen hypercube's Q^n, labels included, projects
@@ -154,14 +151,16 @@ def _resolve_order(args, g: graphs.Graph) -> nesting.NestOrder:
 
 
 def _cmd_strategy(args) -> tuple[dict, int]:
-    g = _load_graph(args.graph)
+    g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     order = _resolve_order(args, g)
-    meter = solver.Meter(solver.DEFAULT_BUDGET, solver.lower_bound_degeneracy(g))
+    if variant != order.variant:
+        raise InvalidParameterError(f"the {variant} variant does not take a {order.kind}-kind order")
     m = args.hunters
     if m is None:
+        meter = solver.Meter(solver.DEFAULT_BUDGET, solver.lower_bound_degeneracy(g))
         m = nesting.hunter_number_via_nesting(g, order, meter)
-    strategy = nesting.nest_strategy(g, order, m, variant)
+    strategy = nesting.nest_strategy(g, order, m)
     results = {
         "variant": variant,
         "hunters": m,
@@ -190,7 +189,7 @@ def _cmd_strategy(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    g = _load_graph(args.graph)
+    g = graphs.read_graph(args.graph)
     strategy = dynamics.read_strategy(args.strategy)
     outcome = dynamics.verify(g, strategy, args.start)
     inputs = {"graph": _digest(args.graph), "strategy": _digest(args.strategy)}
@@ -205,7 +204,11 @@ def _cmd_verify(args) -> tuple[dict, int]:
     return {"inputs": inputs, "results": results, "warnings": []}, code
 
 
-def _cube_report(args) -> tuple[dict, list[str]]:
+def _match(stated, computed) -> str:
+    return "MATCH" if stated == computed else "MISMATCH"
+
+
+def _cmd_cube(args) -> tuple[dict, int]:
     n = args.n
     sub = args.subcommand
     warnings: list[str] = []
@@ -213,7 +216,7 @@ def _cube_report(args) -> tuple[dict, list[str]]:
         closed_form = cube_mod.cube_hunter_number(n)
         scan = cube_mod.cube_surplus(n) + 1
         results = {"hunter_number": closed_form, "scan": scan,
-                   "match": "MATCH" if closed_form == scan else "MISMATCH"}
+                   "match": _match(closed_form, scan)}
         if closed_form != scan:
             warnings.append(f"closed form {closed_form} disagrees with profile scan {scan}")
     elif sub == "diffseq":
@@ -233,9 +236,9 @@ def _cube_report(args) -> tuple[dict, list[str]]:
         results = {"side": args.side, "k": args.k, "min_union": value}
         if n <= 5:
             g = graphs.hypercube_graph(n)
-            brute = solver.min_neighborhood_union(g, args.k, args.side, "open")
+            brute = solver.min_neighborhood_union(g, args.k, args.side)
             results["brute_force"] = brute
-            results["match"] = "MATCH" if brute == value else "MISMATCH"
+            results["match"] = _match(value, brute)
             if brute != value:
                 warnings.append(f"analytic {value} disagrees with brute force {brute}")
     elif sub == "u":
@@ -244,7 +247,7 @@ def _cube_report(args) -> tuple[dict, list[str]]:
         if n >= 2:
             closed_form = cube_mod.cube_surplus_closed_form(n)
             results["closed_form"] = closed_form
-            results["match"] = "MATCH" if closed_form == scan else "MISMATCH"
+            results["match"] = _match(closed_form, scan)
             if closed_form != scan:
                 warnings.append(f"closed form {closed_form} disagrees with scan {scan}")
         if n == 4:
@@ -256,7 +259,7 @@ def _cube_report(args) -> tuple[dict, list[str]]:
         closed_form = cube_mod.cube_deaf_closed_form(n)
         results = {"scan_surplus": scan, "hunter_number": scan + 1,
                    "closed_form": closed_form,
-                   "match": "MATCH" if closed_form == scan else "MISMATCH"}
+                   "match": _match(closed_form, scan)}
         warnings.append(
             f"the closed form tracks the surplus, not the hunter number surplus+1 = {scan + 1}")
         if closed_form != scan:
@@ -272,9 +275,9 @@ def _cube_report(args) -> tuple[dict, list[str]]:
         results = {
             "i": i,
             "position_formula": pos_formula, "position_scan": pos_scan,
-            "position_match": "MATCH" if pos_formula == pos_scan else "MISMATCH",
+            "position_match": _match(pos_formula, pos_scan),
             "value_formula": val_formula, "value_scan": val_scan,
-            "value_match": "MATCH" if val_formula == val_scan else "MISMATCH",
+            "value_match": _match(val_formula, val_scan),
         }
         if val_formula != val_scan:
             warnings.append(
@@ -283,18 +286,14 @@ def _cube_report(args) -> tuple[dict, list[str]]:
         if pos_formula != pos_scan:
             warnings.append(
                 f"stated position formula gives {pos_formula} but the scan gives {pos_scan}")
-    return results, warnings
-
-
-def _cmd_cube(args) -> tuple[dict, int]:
-    results, warnings = _cube_report(args)
-    inputs = {"n": args.n, "subcommand": args.subcommand}
+    inputs = {"n": n, "subcommand": sub}
     return {"inputs": inputs, "results": results, "warnings": warnings}, 0
 
 
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built on first use, not at import, and kept for the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="huntrab",
@@ -355,15 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         body, code = args.func(args)
-    except USAGE_ERRORS as exc:
+    except (*USAGE_ERRORS, BudgetExceededError) as exc:
         print(f"huntrab {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"huntrab {args.command}: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"huntrab {args.command}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetExceededError) else 2
     if body is None:  # the command already wrote its whole output
         return code
     report = {

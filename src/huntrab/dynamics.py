@@ -3,15 +3,17 @@
 A hunter strategy is a finite sequence of shot sets.  Given the set R of
 positions the rabbit might occupy, one round of play with shot set H leaves
 N(R \\ H) under the standard rules (the rabbit must move) or N[R \\ H] for a
-deaf rabbit (it may also stay put).  Shots are 1-based against the 0-based
-position sets: trace[i+1] results from shots[i] applied to trace[i].
+deaf rabbit (it may also stay put).  The variant is the only difference
+between the two games, and moves is the one place that turns it into N(v)
+or N[v].  Shots are 1-based against the 0-based position sets: trace[i+1]
+results from shots[i] applied to trace[i].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from .errors import FormatError, InvalidParameterError, InvalidStrategyError
-from .graphs import Bipartition, Graph, bipartition, iter_bits, mask_of, neighborhood, side_mask
+from .graphs import Bipartition, Graph, bipartition, iter_bits, mask_of, side_mask
 
 STANDARD = "standard"
 DEAF = "deaf"
@@ -50,10 +52,6 @@ class Trace:
     sets: tuple[int, ...]
     caught_at: int | None
 
-    @property
-    def final(self) -> int:
-        return self.sets[-1]
-
 
 @dataclass(frozen=True)
 class Caught:
@@ -67,9 +65,23 @@ class Escaped:
     walk: tuple[int, ...]
 
 
+def moves(g: Graph, variant: str) -> tuple[int, ...]:
+    """Each vertex's one-round moves: N(v) in the standard game, N[v] for a
+    deaf rabbit."""
+    if variant == STANDARD:
+        return g.adj
+    if variant == DEAF:
+        return tuple(nv | 1 << v for v, nv in enumerate(g.adj))
+    raise InvalidParameterError(f"unknown variant {variant!r}")
+
+
 def step(g: Graph, rabbit: int, shot: int, variant: str = STANDARD) -> int:
-    """One round: neighborhood of the unshot positions (closed if deaf)."""
-    return neighborhood(g, rabbit & ~shot, closed=(variant == DEAF))
+    """One round: the union of the moves of the unshot positions."""
+    nbrs = moves(g, variant)
+    out = 0
+    for v in iter_bits(rabbit & ~shot):
+        out |= nbrs[v]
+    return out
 
 
 def run(g: Graph, strategy: Strategy, start: int) -> Trace:
@@ -100,14 +112,12 @@ def verify(g: Graph, strategy: Strategy, start: str = "any") -> Caught | Escaped
     trace = run(g, strategy, side_mask(g, "all" if start == "any" else start))
     if trace.caught_at is not None:
         return Caught(trace.caught_at)
-    deaf = strategy.variant == DEAF
+    nbrs = moves(g, strategy.variant)
     last = len(trace.sets) - 1
     walk = [next(iter_bits(trace.sets[last]))]
     for i in range(last - 1, -1, -1):
-        target = walk[0]
         candidates = trace.sets[i] & ~strategy.shots[i]
-        allowed = g.adj[target] | (1 << target) if deaf else g.adj[target]
-        walk.insert(0, next(iter_bits(candidates & allowed)))
+        walk.insert(0, next(iter_bits(candidates & nbrs[walk[0]])))
     return Escaped(tuple(walk))
 
 

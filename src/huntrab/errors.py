@@ -34,11 +34,6 @@ class NonTerminatingError(RuntimeError):
 class InapplicableError(ValueError):
     """The nesting theorem's hypotheses do not hold for this graph/order."""
 
-    def __init__(self, message: str, u_even: int | None = None, u_odd: int | None = None):
-        super().__init__(message)
-        self.u_even = u_even
-        self.u_odd = u_odd
-
 
 class BudgetExceededError(RuntimeError):
     """A call ran past its work budget (see solver.Meter)."""

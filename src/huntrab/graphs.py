@@ -44,7 +44,8 @@ class Graph:
     """Finite simple graph with bitmask adjacency.
 
     adj[v] is the open neighborhood of v as a bitmask.  No self-loops are
-    stored; the deaf-rabbit variant is a transition rule, not a loop edge.
+    stored; the deaf-rabbit variant is a transition rule (dynamics.moves),
+    not a loop edge.
     labels, when present, give one text label per vertex (hypercubes use
     bit strings).
     """
@@ -69,9 +70,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]],
@@ -159,14 +157,6 @@ def star_graph(n: int) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Basic operations
-
-
-def neighborhood(g: Graph, vset: int, closed: bool = False) -> int:
-    """Union of neighborhoods of the vertices in vset; closed includes vset."""
-    out = vset if closed else 0
-    for v in iter_bits(vset):
-        out |= g.adj[v]
-    return out
 
 
 @dataclass(frozen=True)

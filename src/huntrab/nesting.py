@@ -4,8 +4,9 @@ A bipartite graph has isoperimetric nesting when each part carries a total
 order such that the neighborhood of every initial segment is an initial
 segment of the other part's order of the minimum possible size.  Shooting the
 tail of the current position set then keeps the set an initial segment and
-forces it to shrink, which yields an optimal strategy; the closed variant
-uses one order on all vertices and closed neighborhoods (deaf rabbit).
+forces it to shrink, which yields an optimal strategy.  For the deaf rabbit
+a full order, one order on all vertices, plays the same role under closed
+neighborhoods.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .dynamics import DEAF, STANDARD, Strategy, step
+from .dynamics import DEAF, STANDARD, Strategy, moves, step
 from .errors import (
     FormatError,
     InapplicableError,
@@ -22,8 +23,8 @@ from .errors import (
     InvalidParameterError,
     NonTerminatingError,
 )
-from .graphs import Graph, iter_bits, mask_of, neighborhood, side_mask
-from .solver import DEFAULT_BUDGET, Meter, as_meter, min_union_profile
+from .graphs import Graph, iter_bits, mask_of, side_mask
+from .solver import DEFAULT_BUDGET, Meter, as_meter, min_union_profile, surplus
 
 BIPARTITE = "bipartite"
 FULL = "full"
@@ -117,7 +118,7 @@ def weightlex_nest_order(g: Graph) -> NestOrder:
 
 
 def weightlex_full_order(g: Graph) -> NestOrder:
-    """Weightlex on all vertices of a subset-coded hypercube (closed variant)."""
+    """Weightlex on all vertices of a subset-coded hypercube (deaf game)."""
     return NestOrder(FULL, order_all=tuple(iter_weightlex(_cube_ground(g))))
 
 
@@ -161,21 +162,27 @@ def _bind(g: Graph, order: NestOrder) -> None:
             raise InvalidOrderError(f"order for side {side!r} does not hold exactly that side's vertices")
 
 
-def _segment_neighborhood(g: Graph, order: NestOrder, side: str, k: int) -> int:
-    return neighborhood(g, initial_segment(order, side, k), closed=order.variant == DEAF)
+def _segment_images(g: Graph, order: NestOrder, side: str) -> list[int]:
+    """The moves of the side's first k vertices for k = 1..|side|: N of each
+    initial segment, or N[ ] for a full order, as one running union along
+    the order."""
+    nbrs = moves(g, order.variant)
+    images, union = [], 0
+    for v in order.sequence(side):
+        union |= nbrs[v]
+        images.append(union)
+    return images
 
 
 def _check_nesting(g: Graph, order: NestOrder, budget: int | Meter) -> NestingReport:
     _bind(g, order)
     meter = as_meter(budget)
-    mode = "closed" if order.variant == DEAF else "open"
     violations: list[tuple[str, int, str]] = []
     surpluses: dict[str, int] = {}
     for side, image in order.next_side.items():
-        profile = min_union_profile(g, side, mode, meter)
-        surpluses[side] = profile.surplus()
-        for k, minimum in enumerate(profile.values, start=1):
-            nb = _segment_neighborhood(g, order, side, k)
+        profile = min_union_profile(g, side, order.variant, meter)
+        surpluses[side] = surplus(profile)
+        for k, (minimum, nb) in enumerate(zip(profile, _segment_images(g, order, side)), start=1):
             size = nb.bit_count()
             if nb != initial_segment(order, image, size):
                 violations.append((side, k, "neighborhood of the segment is not an initial segment"))
@@ -214,22 +221,16 @@ def _tail_shot(seq: tuple[int, ...], r: int, m: int) -> int:
     return mask_of(seq[max(0, top - m):top])
 
 
-def _segment_surplus(g: Graph, order: NestOrder, side: str) -> int:
-    """max over k of |N(first k of the side)| - k; the side's union surplus
-    when the order nests, since its segments then achieve every minimum."""
-    return max((_segment_neighborhood(g, order, side, k).bit_count() - k
-                for k in range(1, len(order.sequence(side)) + 1)), default=0)
-
-
-def nest_strategy(g: Graph, order: NestOrder, m: int, variant: str = STANDARD) -> Strategy:
+def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     """Shoot the last m nest-ordered vertices of the position set each round.
 
-    The variant must be the order's: standard for the bipartite kind, deaf
-    for the full kind.  The rabbit starts on the driven side, the side with
-    the smaller segment surplus (ties to even), and each round moves it to
-    the side that side maps to.  A bipartite strategy thus respects parity,
-    and extend_parity turns it into one winning from any start; a full
-    order's strategy starts from all of V.
+    The order's kind fixes the game: standard for the bipartite kind, deaf
+    for the full kind.  The rabbit starts on the driven side, the side whose
+    segment images have the smaller surplus (ties to even): the side's union
+    surplus when the order nests, since its segments then achieve every
+    minimum.  Each round moves the rabbit to the side that side maps to.  A
+    bipartite strategy thus respects parity, and extend_parity turns it into
+    one winning from any start; a full order's strategy starts from all of V.
 
     Each round re-checks that the position set is an initial segment of the
     active order and fails with InvalidOrderError otherwise; if the set stops
@@ -237,25 +238,24 @@ def nest_strategy(g: Graph, order: NestOrder, m: int, variant: str = STANDARD) -
     """
     if m < 1:
         raise InvalidParameterError("hunter count must be at least 1")
-    if variant != order.variant:
-        raise InvalidParameterError(f"the {variant} variant does not take a {order.kind}-kind order")
     _bind(g, order)
-    side = min(order.next_side, key=lambda s: _segment_surplus(g, order, s))
+    side = min(order.next_side,
+               key=lambda s: surplus(nb.bit_count() for nb in _segment_images(g, order, s)))
     rabbit = mask_of(order.sequence(side))
     shots: list[int] = []
     for _ in range(4 * g.n):
         if rabbit == 0:
-            return Strategy(tuple(shots), variant)
+            return Strategy(tuple(shots), order.variant)
         r = rabbit.bit_count()
         if rabbit != initial_segment(order, side, r):
             raise InvalidOrderError(
                 f"position set is not an initial segment of the {side} order at step {len(shots) + 1}")
         shot = _tail_shot(order.sequence(side), r, m)
         shots.append(shot)
-        rabbit = step(g, rabbit, shot, variant)
+        rabbit = step(g, rabbit, shot, order.variant)
         side = order.next_side[side]
     if rabbit == 0:
-        return Strategy(tuple(shots), variant)
+        return Strategy(tuple(shots), order.variant)
     raise NonTerminatingError(f"position set still has {rabbit.bit_count()} vertices "
                               f"after {4 * g.n} rounds; {m} hunters are too few")
 
@@ -273,8 +273,7 @@ def hunter_number_via_nesting(g: Graph, order: NestOrder,
     u = report.surpluses
     if max(u.values()) - min(u.values()) > 1:
         raise InapplicableError(
-            f"side surpluses differ by more than one (even {u['even']}, odd {u['odd']})",
-            u_even=u["even"], u_odd=u["odd"])
+            f"side surpluses differ by more than one (even {u['even']}, odd {u['odd']})")
     if g.n == 0:
         return 0
     # as in solver.hunter_number, a graph with a vertex takes a hunter even

@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .dynamics import DEAF, STANDARD, Strategy, extend_parity
+from .dynamics import STANDARD, Strategy, extend_parity, moves
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import (
     Graph,
@@ -42,8 +42,6 @@ from .graphs import (
 # 6x6 in 3,091,174.
 DEFAULT_BUDGET = 10**8
 
-MODES = ("open", "closed")
-
 CLEARED = "cleared"
 BLOCKED = "blocked"
 
@@ -58,6 +56,10 @@ class Meter:
     lower_bound: int = 0
     spent: int = 0
 
+    def __post_init__(self):
+        if self.limit < 0:
+            raise InvalidParameterError(f"work budget must be non-negative, not {self.limit}")
+
     def spend(self, units: int, phase: str) -> None:
         if self.spent + units > self.limit:
             raise BudgetExceededError(phase, self.spent, self.lower_bound, self.limit)
@@ -69,12 +71,10 @@ def as_meter(budget: int | Meter) -> Meter:
     return budget if isinstance(budget, Meter) else Meter(budget)
 
 
-def _side_contributions(g: Graph, side: str, mode: str) -> list[int]:
-    """N(v), or N[v] in closed mode, for each vertex v of the side."""
-    if mode not in MODES:
-        raise InvalidParameterError(f"mode must be open or closed, not {mode!r}")
-    closed = int(mode == "closed")
-    return [g.adj[v] | (closed << v) for v in bits(side_mask(g, side))]
+def _side_contributions(g: Graph, side: str, variant: str) -> list[int]:
+    """The one-round moves of each vertex of the side."""
+    nbrs = moves(g, variant)
+    return [nbrs[v] for v in bits(side_mask(g, side))]
 
 
 def _min_union(contrib: list[int], k: int) -> int:
@@ -102,59 +102,51 @@ def _min_union(contrib: list[int], k: int) -> int:
     return best
 
 
-def min_neighborhood_union(g: Graph, k: int, side: str = "all", mode: str = "open",
+def min_neighborhood_union(g: Graph, k: int, side: str = "all", variant: str = STANDARD,
                            budget: int | Meter = DEFAULT_BUDGET) -> int:
-    """Smallest |N(W)| (or |N[W]| for closed mode) over W in the side with |W| = k.
+    """Smallest |N(W)| (|N[W]| for a deaf rabbit) over W in the side with |W| = k.
 
     Exact, by branch and bound; charged as C(|side|, k) units, all of them,
     before the search, which visits at most that many subsets.
     """
-    contrib = _side_contributions(g, side, mode)
+    contrib = _side_contributions(g, side, variant)
     if not 1 <= k <= len(contrib):
         raise InvalidParameterError(f"k={k} out of range 1..{len(contrib)}")
     as_meter(budget).spend(comb(len(contrib), k), "bound")
     return _min_union(contrib, k)
 
 
-@dataclass(frozen=True)
-class UnionProfile:
-    """min_neighborhood_union for every k on one side."""
-
-    side: str
-    mode: str
-    values: tuple[int, ...]
-
-    def surplus(self) -> int:
-        """max over k of values[k] - k (k is 1-based); 0 for an empty side."""
-        return max((v - k for k, v in enumerate(self.values, start=1)), default=0)
-
-
-def min_union_profile(g: Graph, side: str = "all", mode: str = "open",
-                      budget: int | Meter = DEFAULT_BUDGET) -> UnionProfile:
+def min_union_profile(g: Graph, side: str = "all", variant: str = STANDARD,
+                      budget: int | Meter = DEFAULT_BUDGET) -> tuple[int, ...]:
     """min_neighborhood_union for k = 1..|side|.  Only the whole profile
     gives a surplus, so all of it, 2^|side| - 1 subsets, is charged before
     any k is enumerated; each k then runs within what was paid."""
-    contrib = _side_contributions(g, side, mode)
+    contrib = _side_contributions(g, side, variant)
     as_meter(budget).spend((1 << len(contrib)) - 1, "bound")
-    return UnionProfile(side, mode, tuple(_min_union(contrib, k)
-                                          for k in range(1, len(contrib) + 1)))
+    return tuple(_min_union(contrib, k) for k in range(1, len(contrib) + 1))
 
 
-def union_surplus(g: Graph, side: str = "all", mode: str = "open",
+def surplus(profile: Iterable[int]) -> int:
+    """max over k of profile[k] - k (k is 1-based); 0 for an empty profile."""
+    return max((v - k for k, v in enumerate(profile, start=1)), default=0)
+
+
+def union_surplus(g: Graph, side: str = "all", variant: str = STANDARD,
                   budget: int | Meter = DEFAULT_BUDGET) -> int:
     """max over k of min_neighborhood_union(k) - k.
 
     One more hunter than this is needed before the possible-position count
     can shrink at every size, which is what makes it a lower bound.
     """
-    return min_union_profile(g, side, mode, budget).surplus()
+    return surplus(min_union_profile(g, side, variant, budget))
 
 
-def lower_bound_union(g: Graph, mode: str = "open", budget: int | Meter = DEFAULT_BUDGET) -> int:
+def lower_bound_union(g: Graph, variant: str = STANDARD,
+                      budget: int | Meter = DEFAULT_BUDGET) -> int:
     """Least hunter count not excluded by the neighborhood-union argument."""
     if g.n == 0:
         return 0
-    return union_surplus(g, "all", mode, budget) + 1
+    return union_surplus(g, "all", variant, budget) + 1
 
 
 def lower_bound_degeneracy(g: Graph) -> int:
@@ -266,8 +258,7 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     """
     if k < 1:
         raise InvalidParameterError("hunter count must be at least 1")
-    if variant not in (STANDARD, DEAF):
-        raise InvalidParameterError(f"unknown variant {variant!r}")
+    adj = moves(g, variant)
     if start is None:
         start = g.full_mask
     elif start & ~g.full_mask:
@@ -275,7 +266,6 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     meter = as_meter(budget)
     if start == 0:
         return ClearResult(CLEARED, (), 0)
-    adj = g.adj if variant == STANDARD else tuple(g.adj[v] | (1 << v) for v in range(g.n))
     parents: dict[int, tuple[int, int]] = {start: (-1, 0)}
     seen = {start}
     minimal: list[int] = [start]
@@ -315,9 +305,9 @@ def _paired_bound(g: Graph, meter: Meter) -> int:
     once both minima at j reach j + k; the per-side rule
     union_surplus(side) + 1 is not a bound (path P3: 2 on the odd side, but
     one hunter clears it from there)."""
-    even = min_union_profile(g, "even", "open", meter).values
-    odd = min_union_profile(g, "odd", "open", meter).values
-    return max(min(e, o) - j for j, (e, o) in enumerate(zip(even, odd), start=1)) + 1
+    even = min_union_profile(g, "even", STANDARD, meter)
+    odd = min_union_profile(g, "odd", STANDARD, meter)
+    return surplus(map(min, even, odd)) + 1
 
 
 def hunter_number(g: Graph, variant: str = STANDARD,
@@ -344,7 +334,6 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     it runs out, the error carries the best hunter count proved so far.
     """
     meter = as_meter(budget)
-    mode = "open" if variant == STANDARD else "closed"
     answer = bound_used = explored_total = 0
     all_shots: list[int] = []
     for comp in components(g):
@@ -353,7 +342,7 @@ def hunter_number(g: Graph, variant: str = STANDARD,
         meter.lower_bound = max(meter.lower_bound, k)
         parts = bipartition(sub) if variant == STANDARD and sub.n > 1 else None
         if parts is None:
-            start, bound = None, lower_bound_union(sub, mode, meter)
+            start, bound = None, lower_bound_union(sub, variant, meter)
         else:
             start, bound = parts.even, _paired_bound(sub, meter)
         k = max(k, bound)

@@ -86,8 +86,8 @@ def test_criterion_3_analytic_profiles_match_brute_force():
         for n in range(1, 6):
             g = hypercube_graph(n)
             analytic = tuple(accumulate(cube_diff_seq(n, "even")))
-            even = min_union_profile(g, "even").values
-            odd = min_union_profile(g, "odd").values
+            even = min_union_profile(g, "even")
+            odd = min_union_profile(g, "odd")
             assert even == analytic
             assert odd == analytic
             assert even == odd

@@ -114,6 +114,15 @@ def test_small_budget_exits_quickly_with_phase_and_bound(tmp_path, capsys, famil
     assert f"best lower bound {best}" in err  # the degeneracy, which costs no budget
 
 
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+def test_negative_budget_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "c5.graph"
+    run_cli(capsys, "gen", "cycle", "5", "-o", str(path))
+    code, out, err = run_cli(capsys, command, str(path), "--budget", "-1")
+    assert code == 2 and out == ""
+    assert "work budget must be non-negative, not -1" in err
+
+
 def test_bounds_budget_exit_3(tmp_path, capsys):
     path = tmp_path / "g.graph"
     run_cli(capsys, "gen", "grid", "4", "4", "-o", str(path))
@@ -270,8 +279,13 @@ def test_strategy_deaf_full_order(tmp_path, capsys):
     assert report["results"]["verified_start"] == "any"
 
 
-def test_strategy_with_given_hunters_enumerates_nothing(tmp_path, capsys):
-    # a Q6 side profile alone would be 2^32 - 1 units, past the default budget
+def test_strategy_with_given_hunters_enumerates_nothing(tmp_path, capsys, monkeypatch):
+    # a Q6 side profile alone would be 2^32 - 1 units, past the default
+    # budget; nor is the degeneracy that seeds the nesting check's meter needed
+    def no_degeneracy(g):
+        raise AssertionError("degeneracy computed")
+
+    monkeypatch.setattr(solver, "lower_bound_degeneracy", no_degeneracy)
     graph_path = tmp_path / "q6.graph"
     run_cli(capsys, "gen", "hypercube", "6", "-o", str(graph_path))
     code, report = run_json(capsys, "strategy", str(graph_path), "--order", "weightlex",
@@ -290,6 +304,30 @@ def test_strategy_from_order_file(tmp_path, capsys):
     code, report = run_json(capsys, "strategy", str(graph_path), "--order", str(order_path))
     assert code == 0
     assert report["results"]["hunters"] == 3
+
+
+def test_strategy_kind_variant_pairing(tmp_path, capsys):
+    from huntrab.nesting import weightlex_full_order, write_nest_order
+
+    graph_path = tmp_path / "q3.graph"
+    run_cli(capsys, "gen", "hypercube", "3", "-o", str(graph_path))
+    q3 = hypercube_graph(3)
+    bipartite_path, full_path = tmp_path / "bipartite.order", tmp_path / "full.order"
+    write_nest_order(weightlex_nest_order(q3), str(bipartite_path))
+    write_nest_order(weightlex_full_order(q3), str(full_path))
+    for flags, message in [
+        (["--order", str(full_path)], "the standard variant does not take a full-kind order"),
+        (["--order", str(full_path), "--hunters", "5"],
+         "the standard variant does not take a full-kind order"),
+        (["--deaf", "--order", str(bipartite_path)],
+         "the deaf variant does not take a bipartite-kind order"),
+        (["--deaf", "--order", str(bipartite_path), "--hunters", "3"],
+         "the deaf variant does not take a bipartite-kind order"),
+        (["--deaf", "--dims", "2", "4"], "the deaf variant does not take a bipartite-kind order"),
+    ]:
+        code, out, err = run_cli(capsys, "strategy", str(graph_path), *flags)
+        assert code == 2 and out == "", flags
+        assert message in err, flags
 
 
 @pytest.mark.parametrize("flags", [[], ["--deaf"]], ids=["standard", "deaf"])

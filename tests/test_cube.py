@@ -25,6 +25,7 @@ from conftest import (
 
 from huntrab import cli
 from huntrab.cube import (
+    MAX_SEQ_DIM,
     QUOTED_DIFFSEQ_Q4,
     QUOTED_SURPLUS_Q4,
     arrow_max_position_formula,
@@ -40,7 +41,7 @@ from huntrab.cube import (
     cube_surplus,
     cube_surplus_closed_form,
 )
-from huntrab.errors import InvalidParameterError
+from huntrab.errors import CapacityError, InvalidParameterError
 
 
 def subset(*elements: int) -> int:
@@ -213,6 +214,17 @@ def test_cube_diff_seq_values():
     for n in range(1, 9):
         assert len(cube_diff_seq(n, "even")) == 1 << (n - 1)
         assert cube_diff_seq(n, "even") == cube_diff_seq(n, "odd")
+
+
+def test_diff_seq_dimension_cap(capsys):
+    assert MAX_SEQ_DIM >= 18  # the largest diffseq report the benchmark asks for
+    with pytest.raises(CapacityError):
+        cube_diff_seq(MAX_SEQ_DIM + 1)
+    with pytest.raises(CapacityError):
+        cube_min_union(MAX_SEQ_DIM + 1, 1)
+    for argv in (["diffseq"], ["mun", "3"]):
+        assert cli.main(["cube", str(MAX_SEQ_DIM + 1), *argv]) == 2
+        assert "maximum dimension" in capsys.readouterr().err
 
 
 def test_cube_min_union_and_surplus():

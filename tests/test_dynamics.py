@@ -111,7 +111,7 @@ def walk_is_valid(g, strategy, start, walk):
         if i < len(strategy.shots):
             assert not strategy.shots[i] >> v & 1
         if i:
-            ok = g.has_edge(walk[i - 1], v) or (deaf and walk[i - 1] == v)
+            ok = g.adj[walk[i - 1]] >> v & 1 or (deaf and walk[i - 1] == v)
             assert ok
     return True
 

@@ -1,6 +1,6 @@
 """Every name a module imports is used in that module, and every public
-name of the package is used by a route: the package itself, the scripts or
-the benchmark."""
+name of the package, down to the methods and properties of its classes, is
+used by a route: the package itself, the scripts or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -44,15 +44,21 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def public_names(tree: ast.Module) -> set[str]:
-    """Top-level functions, classes and constants not marked private."""
-    names = set()
+def public_names(tree: ast.Module) -> dict[str, str]:
+    """Top-level functions, classes and constants, and the methods and
+    properties of the classes, not marked private: each qualified name
+    mapped to the name a use reads."""
+    names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
+            names[node.name] = node.name
         elif isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    return {name for name in names if not name.startswith("_")}
+            names.update((t.id, t.id) for t in node.targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            names.update((f"{node.name}.{m.name}", m.name) for m in node.body
+                         if isinstance(m, ast.FunctionDef))
+    return {qualified: name for qualified, name in names.items()
+            if not qualified.startswith("_") and not name.startswith("_")}
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS + TESTS, ids=lambda p: p.name)
@@ -65,6 +71,6 @@ def test_module_uses_every_name_it_imports(path):
 
 def test_every_public_name_is_used_outside_the_tests():
     used = set().union(*(referenced_names(parse(p)) for p in MODULES + SCRIPTS + BENCHMARK))
-    unused = sorted(f"{path.stem}.{name}" for path in MODULES
-                    for name in public_names(parse(path)) - used)
+    unused = sorted(f"{path.stem}.{qualified}" for path in MODULES
+                    for qualified, name in public_names(parse(path)).items() if name not in used)
     assert not unused, f"only the tests use {unused}; move them into tests/conftest.py"

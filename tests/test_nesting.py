@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import lex_key, weightlex_key
-from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, run, verify
+from huntrab.dynamics import Caught, extend_parity, run, step, verify
 from huntrab.errors import (
     BudgetExceededError,
     FormatError,
@@ -209,6 +209,8 @@ def test_nest_strategy_too_few_hunters_does_not_terminate():
     q3 = hypercube_graph(3)
     with pytest.raises(NonTerminatingError):
         nest_strategy(q3, weightlex_nest_order(q3), 2)
+    with pytest.raises(InvalidParameterError):
+        nest_strategy(q3, weightlex_nest_order(q3), 0)
 
 
 def test_nest_strategy_detects_non_nesting_order():
@@ -220,19 +222,9 @@ def test_nest_strategy_detects_non_nesting_order():
         nest_strategy(q3, scrambled, 3)
 
 
-def test_nest_strategy_kind_variant_pairing():
-    q3 = hypercube_graph(3)
-    with pytest.raises(InvalidParameterError):
-        nest_strategy(q3, weightlex_full_order(q3), 3, STANDARD)
-    with pytest.raises(InvalidParameterError):
-        nest_strategy(q3, weightlex_nest_order(q3), 5, DEAF)
-    with pytest.raises(InvalidParameterError):
-        nest_strategy(q3, weightlex_nest_order(q3), 0)
-
-
 def test_nest_strategy_deaf_q3():
     q3 = hypercube_graph(3)
-    strategy = nest_strategy(q3, weightlex_full_order(q3), 5, DEAF)
+    strategy = nest_strategy(q3, weightlex_full_order(q3), 5)
     assert [bits(s) for s in strategy.shots] == [
         [3, 4, 5, 6, 7], [2, 3, 4, 5, 6], [1, 2, 3, 4, 5], [0, 1, 2, 3, 4]]
     assert verify(q3, strategy) == Caught(step=4)
@@ -308,7 +300,7 @@ def test_hunter_number_via_nesting_rejects_unbalanced_sides():
     assert check_isoperimetric_nesting(star, order).ok
     with pytest.raises(InapplicableError) as exc:
         hunter_number_via_nesting(star, order)
-    assert (exc.value.u_even, exc.value.u_odd) == (3, 0)
+    assert "(even 3, odd 0)" in str(exc.value)
 
 
 def test_hunter_number_via_nesting_rejects_non_nesting_order():
@@ -346,9 +338,7 @@ def test_neighborhood_of_weightlex_segment_is_weightlex_segment():
             seq = order.sequence(side)
             other_seq = order.sequence(other)
             for k in range(1, len(seq) + 1):
-                from huntrab.graphs import neighborhood
-
-                nb = neighborhood(g, mask_of(seq[:k]))
+                nb = step(g, mask_of(seq[:k]), 0)
                 assert nb == mask_of(other_seq[:nb.bit_count()]), (n, side, k)
 
 
@@ -357,7 +347,7 @@ def test_even_and_odd_profiles_agree_on_cubes():
 
     for n in range(1, 5):
         g = hypercube_graph(n)
-        assert min_union_profile(g, "even").values == min_union_profile(g, "odd").values
+        assert min_union_profile(g, "even") == min_union_profile(g, "odd")
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_min_union_examples():
     assert min_neighborhood_union(q4, 2, "even") == 6
     q3 = hypercube_graph(3)
     assert brute_min_union(q3, 2, list(range(8)), closed=True) == 6
-    assert min_neighborhood_union(q3, 2, "all", "closed") == 6
+    assert min_neighborhood_union(q3, 2, "all", DEAF) == 6
 
 
 def test_min_union_validation():
@@ -65,9 +65,9 @@ def test_min_union_validation():
     with pytest.raises(InvalidParameterError):
         min_neighborhood_union(g, 1, "even")
     with pytest.raises(InvalidParameterError):
-        min_neighborhood_union(g, 1, "all", "sideways")
+        min_neighborhood_union(g, 1, "all", "sideways")  # not a variant
     with pytest.raises(BudgetExceededError):
-        min_neighborhood_union(hypercube_graph(4), 8, "all", "open", budget=100)
+        min_neighborhood_union(hypercube_graph(4), 8, "all", STANDARD, budget=100)
 
 
 def _random_bipartite_graph(rng, max_n):
@@ -89,26 +89,26 @@ def test_min_union_matches_set_based_oracle():
         if parts is not None:
             sides.update(even=bits(parts.even), odd=bits(parts.odd))
         for side, vertices in sides.items():
-            for mode in ("open", "closed"):
+            for variant in (STANDARD, DEAF):
                 for k in range(1, len(vertices) + 1):
-                    assert min_neighborhood_union(g, k, side, mode) == \
-                        brute_min_union(g, k, vertices, closed=(mode == "closed")), (g, side, mode, k)
+                    assert min_neighborhood_union(g, k, side, variant) == \
+                        brute_min_union(g, k, vertices, closed=(variant == DEAF)), (g, side, variant, k)
 
 
 def test_union_bound_on_grid_5x5():
-    # 2^25 - 1 subsets per mode by plain enumeration; the branch and bound
+    # 2^25 - 1 subsets per variant by plain enumeration; the branch and bound
     # cuts nearly all of them
     g = grid_graph(5, 5)
     assert lower_bound_union(g) == 3
-    assert lower_bound_union(g, "closed") == 6
+    assert lower_bound_union(g, DEAF) == 6
 
 
 def test_profiles():
-    assert min_union_profile(hypercube_graph(4), "even").values == (4, 6, 7, 7, 8, 8, 8, 8)
-    assert min_union_profile(hypercube_graph(3), "odd").values == (3, 4, 4, 4)
-    assert min_union_profile(path_graph(2)).values == (1, 2)
+    assert min_union_profile(hypercube_graph(4), "even") == (4, 6, 7, 7, 8, 8, 8, 8)
+    assert min_union_profile(hypercube_graph(3), "odd") == (3, 4, 4, 4)
+    assert min_union_profile(path_graph(2)) == (1, 2)
     profile = min_union_profile(hypercube_graph(4), "even")
-    diffs = tuple(b - a for a, b in zip((0,) + profile.values, profile.values))
+    diffs = tuple(b - a for a, b in zip((0,) + profile, profile))
     assert diffs == (4, 2, 1, 0, 1, 0, 0, 0) == cube_diff_seq(4, "even")
 
 
@@ -121,7 +121,7 @@ def test_union_surplus_examples():
 def test_lower_bounds():
     assert lower_bound_union(hypercube_graph(4)) == 5
     assert lower_bound_union(cycle_graph(5)) == 2
-    assert lower_bound_union(hypercube_graph(3), "closed") == 5
+    assert lower_bound_union(hypercube_graph(3), DEAF) == 5
     assert lower_bound_union(graph_from_edges(0, [])) == 0
     assert lower_bound_degeneracy(hypercube_graph(3)) == 3
     assert lower_bound_degeneracy(path_graph(7)) == 1
@@ -132,11 +132,11 @@ def test_brute_profiles_agree_with_analytic_cube_profiles():
     for n in range(1, 6):
         g = hypercube_graph(n)
         analytic = tuple(accumulate(cube_diff_seq(n, "even")))
-        assert min_union_profile(g, "even").values == analytic
-        assert min_union_profile(g, "odd").values == analytic
+        assert min_union_profile(g, "even") == analytic
+        assert min_union_profile(g, "odd") == analytic
     for n in range(1, 5):
         g = hypercube_graph(n)
-        assert min_union_profile(g, "all", "closed").values == cube_deaf_closed_profile(n)
+        assert min_union_profile(g, "all", DEAF) == cube_deaf_closed_profile(n)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def test_budget_bounds_the_total_work_of_a_solve():
     # a tree whose deaf hunter number 3 is above both bounds (2): the
     # search blocks at 2 hunters and clears with 3
     g = graph_from_edges(8, [(0, 3), (1, 4), (1, 7), (2, 3), (2, 4), (2, 6), (5, 6)])
-    assert max(lower_bound_degeneracy(g), lower_bound_union(g, "closed")) == 2
+    assert max(lower_bound_degeneracy(g), lower_bound_union(g, DEAF)) == 2
     meter = Meter()
     assert hunter_number(g, DEAF, meter).hunter_number == 3
     assert meter.spent > 2**8 - 1  # the union profile, then the searches
@@ -348,10 +348,10 @@ def test_bound_consistency_on_random_graphs():
     rng = random.Random(808)
     for _ in range(50):
         g = random_graph(rng, 7)
-        for variant, mode in ((STANDARD, "open"), (DEAF, "closed")):
+        for variant in (STANDARD, DEAF):
             result = hunter_number(g, variant)
             assert result.hunter_number >= lower_bound_degeneracy(g)
-            assert all(result.hunter_number >= lower_bound_union(sub, mode)
+            assert all(result.hunter_number >= lower_bound_union(sub, variant)
                        for sub in _component_subgraphs(g))
 
 
