@@ -41,7 +41,7 @@ from .nesting import (
     check_isoperimetric_nesting,
     grid_nest_order,
     hunter_number_via_nesting,
-    initial_segment,
+    initial_segments,
     nest_strategy,
     weightlex_full_order,
     weightlex_nest_order,

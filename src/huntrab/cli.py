@@ -221,8 +221,9 @@ def _cmd_cube(args) -> tuple[dict, int]:
             warnings.append(f"closed form {closed_form} disagrees with profile scan {scan}")
     elif sub == "diffseq":
         seq = cube_mod.cube_diff_seq(n, args.side)
+        names = [str(v) for v in range(n + 1)]  # every entry lies in 0..n
         results = {"side": args.side, "length": len(seq),
-                   "diffseq": " ".join(str(v) for v in seq)}
+                   "diffseq": " ".join(map(names.__getitem__, seq))}
         if n == 4:
             quoted = " ".join(str(v) for v in cube_mod.QUOTED_DIFFSEQ_Q4)
             warnings.append(
@@ -291,66 +292,76 @@ def _cmd_cube(args) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
+# Each command's handler, help line and arguments (space-separated option
+# strings -> add_argument keywords)
+
+_BUDGET = {"type": int, "default": solver.DEFAULT_BUDGET, "help": BUDGET_HELP}
+
+COMMANDS = {
+    "gen": (_cmd_gen, "write a standard-family graph file", {
+        "family": {"choices": sorted(FAMILIES)},
+        "params": {"nargs": "+", "type": int},
+        "-o --out": {"help": "output path (default: stdout)"},
+    }),
+    "solve": (_cmd_solve, "exact hunter number with witness strategy", {
+        "graph": {},
+        "--deaf": {"action": "store_true", "help": "deaf-rabbit (closed) variant"},
+        "--budget": _BUDGET,
+        "--strategy-out": {"help": "also write the witness strategy to this path"},
+    }),
+    "bounds": (_cmd_bounds, "lower bounds (and upper bound for labeled hypercubes)", {
+        "graph": {}, "--deaf": {"action": "store_true"}, "--budget": _BUDGET,
+    }),
+    "strategy": (_cmd_strategy, "build a nest-order strategy", {
+        "graph": {},
+        "--order": {"help": "weightlex, grid, or a nest-order file path"},
+        "--dims": {"nargs": 2, "type": int, "metavar": ("M", "N"),
+                   "help": "grid dimensions (required with --order grid)"},
+        "--hunters": {"type": int, "help": "shots per round (default: from the nesting check)"},
+        "--deaf": {"action": "store_true"},
+        "--extend-parity": {"action": "store_true",
+                            "help": "extend to a strategy winning from any start"},
+        "--out": {"help": "write the strategy file to this path"},
+    }),
+    "verify": (_cmd_verify, "run a strategy file against a graph", {
+        "graph": {}, "strategy": {},
+        "--start": {"choices": ["any", "even", "odd"], "default": "any"},
+    }),
+    "cube": (_cmd_cube, "hypercube analytics (closed forms vs scans)", {
+        "n": {"type": int},
+        "subcommand": {"choices": ["hun", "diffseq", "mun", "u", "deaf", "messlemma"]},
+        "k": {"nargs": "?", "type": int, "help": "subset size (mun) or layer index (messlemma)"},
+        "--side": {"choices": ["even", "odd"], "default": "even"},
+    }),
+}
 
 
 @functools.cache  # built on first use, not at import, and kept for the process
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the given command, or of every command for None."""
     parser = argparse.ArgumentParser(
         prog="huntrab",
         description="Hunters-and-rabbits pursuit games: solve, bound, and build strategies.")
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="write a standard-family graph file")
-    p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("params", nargs="+", type=int)
-    p.add_argument("-o", "--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("solve", help="exact hunter number with witness strategy")
-    p.add_argument("graph")
-    p.add_argument("--deaf", action="store_true", help="deaf-rabbit (closed) variant")
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET, help=BUDGET_HELP)
-    p.add_argument("--strategy-out", help="also write the witness strategy to this path")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("bounds", help="lower bounds (and upper bound for labeled hypercubes)")
-    p.add_argument("graph")
-    p.add_argument("--deaf", action="store_true")
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET, help=BUDGET_HELP)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("strategy", help="build a nest-order strategy")
-    p.add_argument("graph")
-    p.add_argument("--order", help="weightlex, grid, or a nest-order file path")
-    p.add_argument("--dims", nargs=2, type=int, metavar=("M", "N"),
-                   help="grid dimensions (required with --order grid)")
-    p.add_argument("--hunters", type=int, help="shots per round (default: from the nesting check)")
-    p.add_argument("--deaf", action="store_true")
-    p.add_argument("--extend-parity", action="store_true",
-                   help="extend to a strategy winning from any start")
-    p.add_argument("--out", help="write the strategy file to this path")
-    p.set_defaults(func=_cmd_strategy)
-
-    p = sub.add_parser("verify", help="run a strategy file against a graph")
-    p.add_argument("graph")
-    p.add_argument("strategy")
-    p.add_argument("--start", choices=["any", "even", "odd"], default="any")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("cube", help="hypercube analytics (closed forms vs scans)")
-    p.add_argument("n", type=int)
-    p.add_argument("subcommand",
-                   choices=["hun", "diffseq", "mun", "u", "deaf", "messlemma"])
-    p.add_argument("k", nargs="?", type=int, help="subset size (mun) or layer index (messlemma)")
-    p.add_argument("--side", choices=["even", "odd"], default="even")
-    p.set_defaults(func=_cmd_cube)
-
+    # the usage line lists every command even when one is registered; the
+    # full parser's default metavar is that string, and its errors say "command"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        func, help_, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flags, options in arguments.items():
+            p.add_argument(*flags.split(), **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the first argument other than --json names the command; when it names
+    # none (help, say), every command is registered
+    command = next((arg for arg in argv if arg != "--json"), None)
+    args = _build_parser(command if command in COMMANDS else None).parse_args(argv)
     started = time.perf_counter()
     try:
         body, code = args.func(args)

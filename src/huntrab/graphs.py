@@ -26,12 +26,23 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+# _BYTE_BITS[x] lists the set bit positions of the byte value x
+_BYTE_BITS: list[tuple[int, ...]] = [()]
+for _bit in range(8):
+    _BYTE_BITS += [low + (_bit,) for low in _BYTE_BITS]
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of mask in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield the set bit positions of mask in increasing order.
+
+    The walk reads mask one byte at a time, so it is linear in the mask's
+    length; clearing each bit of the whole int would copy it once per bit.
+    """
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        for b in _BYTE_BITS[byte]:
+            yield base + b
+        base += 8
 
 
 def bits(mask: int) -> list[int]:

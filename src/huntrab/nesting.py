@@ -12,7 +12,8 @@ neighborhoods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterator
 
 from .dynamics import DEAF, STANDARD, Strategy, moves, step
@@ -71,12 +72,10 @@ class NestOrder:
         return seq
 
 
-def initial_segment(order: NestOrder, part: str, k: int) -> int:
-    """The first k vertices of the given part's order, as a bitmask."""
-    seq = order.sequence(part)
-    if not 0 <= k <= len(seq):
-        raise InvalidParameterError(f"segment size {k} out of range 0..{len(seq)}")
-    return mask_of(seq[:k])
+def initial_segments(order: NestOrder, part: str) -> list[int]:
+    """The first r vertices of the given part's order as a bitmask, for
+    r = 0..|part|, as one running union along the order."""
+    return list(accumulate((1 << v for v in order.sequence(part)), or_, initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +166,7 @@ def _segment_images(g: Graph, order: NestOrder, side: str) -> list[int]:
     initial segment, or N[ ] for a full order, as one running union along
     the order."""
     nbrs = moves(g, order.variant)
-    images, union = [], 0
-    for v in order.sequence(side):
-        union |= nbrs[v]
-        images.append(union)
-    return images
+    return list(accumulate((nbrs[v] for v in order.sequence(side)), or_))
 
 
 def _check_nesting(g: Graph, order: NestOrder, budget: int | Meter) -> NestingReport:
@@ -182,9 +177,10 @@ def _check_nesting(g: Graph, order: NestOrder, budget: int | Meter) -> NestingRe
     for side, image in order.next_side.items():
         profile = min_union_profile(g, side, order.variant, meter)
         surpluses[side] = surplus(profile)
+        segments = initial_segments(order, image)
         for k, (minimum, nb) in enumerate(zip(profile, _segment_images(g, order, side)), start=1):
             size = nb.bit_count()
-            if nb != initial_segment(order, image, size):
+            if nb != segments[size]:
                 violations.append((side, k, "neighborhood of the segment is not an initial segment"))
             if size != minimum:
                 violations.append((side, k, f"segment neighborhood has {size} vertices, minimum is {minimum}"))
@@ -214,11 +210,11 @@ def check_closed_nesting(g: Graph, order: NestOrder,
 # The constructive strategy
 
 
-def _tail_shot(seq: tuple[int, ...], r: int, m: int) -> int:
+def _tail_shot(segments: list[int], r: int, m: int) -> int:
     """Last m order positions of the current segment, padded forward to m
-    shots when fewer than m positions remain."""
-    top = min(len(seq), max(r, m))
-    return mask_of(seq[max(0, top - m):top])
+    shots when fewer than m positions remain; segments as from initial_segments."""
+    top = min(len(segments) - 1, max(r, m))
+    return segments[top] ^ segments[max(0, top - m)]
 
 
 def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
@@ -241,16 +237,17 @@ def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     _bind(g, order)
     side = min(order.next_side,
                key=lambda s: surplus(nb.bit_count() for nb in _segment_images(g, order, s)))
-    rabbit = mask_of(order.sequence(side))
+    segments = {s: initial_segments(order, s) for s in order.next_side}
+    rabbit = segments[side][-1]
     shots: list[int] = []
     for _ in range(4 * g.n):
         if rabbit == 0:
             return Strategy(tuple(shots), order.variant)
         r = rabbit.bit_count()
-        if rabbit != initial_segment(order, side, r):
+        if rabbit != segments[side][r]:
             raise InvalidOrderError(
                 f"position set is not an initial segment of the {side} order at step {len(shots) + 1}")
-        shot = _tail_shot(order.sequence(side), r, m)
+        shot = _tail_shot(segments[side], r, m)
         shots.append(shot)
         rabbit = step(g, rabbit, shot, order.variant)
         side = order.next_side[side]

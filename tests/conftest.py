@@ -386,6 +386,15 @@ def naive_successors(adj: tuple[int, ...], state: int, k: int) -> list[tuple[int
     return out
 
 
+def clearing_bits(mask: int) -> Iterator[int]:
+    """Set bit positions in increasing order by clearing the lowest set bit
+    of the whole int each time, quadratic in the mask's length."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def start_bits(mask: int) -> list[int]:
     out = []
     v = 0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from collections import Counter
 import pytest
 
 from huntrab import cli, solver
+from huntrab.cube import MAX_SEQ_DIM, cube_diff_seq
 from huntrab.dynamics import STANDARD, Caught, Strategy, read_strategy, verify
 from huntrab.graphs import format_graph, graph_from_edges, hypercube_graph, read_graph
 from huntrab.nesting import BIPARTITE, NestOrder, hunter_number_via_nesting, weightlex_nest_order
@@ -403,6 +405,14 @@ def test_cube_diffseq_flags_quoted_extra_zero(capsys):
     assert any("trailing zero" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("side", ["even", "odd"])
+def test_cube_diffseq_renders_every_entry(capsys, side):
+    for n in range(1, MAX_SEQ_DIM + 1):
+        code, report = run_json(capsys, "cube", str(n), "diffseq", "--side", side)
+        assert code == 0
+        assert report["results"]["diffseq"] == " ".join(str(v) for v in cube_diff_seq(n, side))
+
+
 def test_cube_u_notes_quoted_surplus(capsys):
     code, report = run_json(capsys, "cube", "4", "u")
     assert code == 0
@@ -493,3 +503,81 @@ def test_golden_reports_with_graph_input(tmp_path, capsys, name, family, params,
     code, report = run_json(capsys, *argv_tail, str(path))
     assert code == 0
     assert normalized(report) == expected
+
+
+# ---------------------------------------------------------------------------
+# Parsers: the invoked command's parser against the parser of all commands
+
+PARSE_CASES = [
+    ["gen", "grid", "3", "4", "-o", "g.graph"],
+    ["gen", "path", "5", "--out", "p.graph"],
+    ["--json", "solve", "g", "--deaf", "--budget", "7", "--strategy-out", "s"],
+    ["solve", "g"],
+    ["bounds", "g", "--deaf", "--budget", "9"],
+    ["--json", "bounds", "g"],
+    ["strategy", "g", "--order", "grid", "--dims", "2", "3", "--hunters", "2", "--deaf",
+     "--extend-parity", "--out", "s"],
+    ["strategy", "g"],
+    ["verify", "g", "s", "--start", "odd"],
+    ["verify", "g", "s"],
+    ["cube", "5", "mun", "3", "--side", "odd"],
+    ["--json", "--json", "cube", "4", "hun"],
+]
+
+
+def test_parse_cases_cover_every_command_and_flag():
+    used = {arg for argv in PARSE_CASES for arg in argv}
+    for name, (_func, _help, arguments) in cli.COMMANDS.items():
+        assert name in used
+        for flags in arguments:
+            assert not flags.startswith("-") or set(flags.split()) <= used, flags
+    assert "--json" in used
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_command_parser_parses_like_the_full_parser(argv):
+    command = next(arg for arg in argv if arg != "--json")
+    assert cli._build_parser(command).parse_args(argv) == cli._build_parser().parse_args(argv)
+
+
+def exit_outcome(capsys, parse, argv) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h", "solve"], ["solve", "--help"], [], ["dodecahedron"],
+    ["solve", "g", "--bogus"], ["--json", "cube", "3", "nope"], ["--bogus", "verify", "g", "s"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_help_and_errors_match_the_full_parser(capsys, argv):
+    assert (exit_outcome(capsys, cli.main, argv)
+            == exit_outcome(capsys, cli._build_parser().parse_args, argv))
+
+
+def test_command_errors_name_the_command_argument(capsys):
+    _, _, err = exit_outcome(capsys, cli.main, ["dodecahedron"])
+    assert "error: argument command: invalid choice: 'dodecahedron'" in err
+    _, _, err = exit_outcome(capsys, cli.main, [])
+    assert err.endswith("error: the following arguments are required: command\n")
+
+
+def test_a_command_registers_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k2.graph"
+    path.write_text(format_graph(graph_from_edges(2, [(0, 1)])))
+    registered = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        registered.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    cli._build_parser.cache_clear()
+    try:
+        code, _, _ = run_cli(capsys, "solve", str(path))
+    finally:
+        cli._build_parser.cache_clear()
+    assert code == 0
+    assert registered == ["solve"]

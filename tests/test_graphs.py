@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_degeneracy
+from conftest import brute_degeneracy, clearing_bits, random_mask
 from huntrab.dynamics import DEAF, STANDARD, step
 from huntrab.errors import CapacityError, FormatError, InvalidParameterError
 from huntrab.graphs import (
@@ -16,6 +18,7 @@ from huntrab.graphs import (
     graph_from_edges,
     grid_graph,
     hypercube_graph,
+    iter_bits,
     mask_of,
     parse_graph,
     path_graph,
@@ -248,3 +251,12 @@ def test_parse_accepts_comments_and_reports_line_numbers():
 def test_bits_round_trip():
     assert bits(mask_of([5, 1, 3])) == [1, 3, 5]
     assert bits(0) == []
+
+
+def test_iter_bits_matches_the_clearing_walk():
+    rng = random.Random(11)
+    lengths = [0, 1, 7, 8, 9, 63, 64, 65, 5000] + [rng.randrange(5001) for _ in range(40)]
+    for n in lengths:
+        for mask in (random_mask(rng, n), (1 << n) - 1, 1 << n, (1 << n) | 1):
+            assert list(iter_bits(mask)) == list(clearing_bits(mask)), n
+    assert next(iter_bits(1 << 4999 | 1 << 17)) == 17

@@ -31,7 +31,7 @@ from huntrab.nesting import (
     grid_key,
     grid_nest_order,
     hunter_number_via_nesting,
-    initial_segment,
+    initial_segments,
     iter_weightlex,
     nest_strategy,
     parse_nest_order,
@@ -102,13 +102,13 @@ def test_grid_compare_rule():
 
 def test_initial_segment():
     order = weightlex_nest_order(hypercube_graph(3))
-    assert initial_segment(order, "even", 2) == mask_of([0, subset(1, 2)])
-    assert initial_segment(order, "even", 0) == 0
-    assert initial_segment(order, "odd", 4) == bipartition(hypercube_graph(3)).odd
+    segments = initial_segments(order, "even")
+    assert segments == [mask_of(order.order_even[:r]) for r in range(5)]
+    assert segments[2] == mask_of([0, subset(1, 2)])
+    assert segments[0] == 0
+    assert initial_segments(order, "odd")[4] == bipartition(hypercube_graph(3)).odd
     with pytest.raises(InvalidParameterError):
-        initial_segment(order, "even", 5)
-    with pytest.raises(InvalidParameterError):
-        initial_segment(order, "all", 1)
+        initial_segments(order, "all")
 
 
 def test_weightlex_orders_match_bipartition():
