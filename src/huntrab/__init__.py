@@ -51,12 +51,10 @@ from .solver import (
     SolveResult,
     can_clear,
     hunter_number,
-    lower_bound_degeneracy,
     lower_bound_union,
     min_neighborhood_union,
-    min_union_profile,
     surplus,
-    union_surplus,
+    union_profile,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,8 +34,8 @@ SCHEMA_VERSION = 1
 USAGE_ERRORS = (InvalidParameterError, CapacityError, FormatError, InapplicableError,
                 InvalidOrderError, InvalidStrategyError, NonTerminatingError, OSError)
 
-BUDGET_HELP = ("work budget: one unit per subset a union bound may visit, plus one per kept "
-               "set of each position set R the search expands, C(|R|, k) for R")
+BUDGET_HELP = ("work budget: one unit per candidate the union bound's branch and bound scans, "
+               "plus one per kept set of each position set R the search expands, C(|R|, k) for R")
 
 FAMILIES = {
     "path": (1, graphs.path_graph),
@@ -123,7 +123,7 @@ def _cmd_solve(args) -> tuple[dict | None, int]:
 def _cmd_bounds(args) -> tuple[dict, int]:
     g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
-    degeneracy = solver.lower_bound_degeneracy(g)
+    degeneracy = graphs.degeneracy(g)
     results = {
         "mode": "closed" if args.deaf else "open",
         "union_bound": solver.lower_bound_union(g, variant, solver.Meter(args.budget, degeneracy)),
@@ -158,7 +158,7 @@ def _cmd_strategy(args) -> tuple[dict, int]:
         raise InvalidParameterError(f"the {variant} variant does not take a {order.kind}-kind order")
     m = args.hunters
     if m is None:
-        meter = solver.Meter(solver.DEFAULT_BUDGET, solver.lower_bound_degeneracy(g))
+        meter = solver.Meter(solver.DEFAULT_BUDGET, graphs.degeneracy(g))
         m = nesting.hunter_number_via_nesting(g, order, meter)
     strategy = nesting.nest_strategy(g, order, m)
     results = {

@@ -75,9 +75,9 @@ def moves(g: Graph, variant: str) -> tuple[int, ...]:
     raise InvalidParameterError(f"unknown variant {variant!r}")
 
 
-def step(g: Graph, rabbit: int, shot: int, variant: str = STANDARD) -> int:
-    """One round: the union of the moves of the unshot positions."""
-    nbrs = moves(g, variant)
+def step(nbrs: tuple[int, ...], rabbit: int, shot: int) -> int:
+    """One round: the union of the moves of the unshot positions, with nbrs
+    the graph's moves in the game played."""
     out = 0
     for v in iter_bits(rabbit & ~shot):
         out |= nbrs[v]
@@ -89,11 +89,12 @@ def run(g: Graph, strategy: Strategy, start: int) -> Trace:
     for i, shot in enumerate(strategy.shots):
         if shot & ~g.full_mask:
             raise InvalidStrategyError(f"shot {i + 1} targets vertices outside the graph")
+    nbrs = moves(g, strategy.variant)
     sets = [start & g.full_mask]
     caught = 0 if sets[0] == 0 else None
     if caught is None:
         for i, shot in enumerate(strategy.shots):
-            sets.append(step(g, sets[-1], shot, strategy.variant))
+            sets.append(step(nbrs, sets[-1], shot))
             if sets[-1] == 0:
                 caught = i + 1
                 break

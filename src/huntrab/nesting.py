@@ -25,7 +25,7 @@ from .errors import (
     NonTerminatingError,
 )
 from .graphs import Graph, iter_bits, mask_of, side_mask
-from .solver import DEFAULT_BUDGET, Meter, as_meter, min_union_profile, surplus
+from .solver import DEFAULT_BUDGET, Meter, as_meter, surplus, union_profile
 
 BIPARTITE = "bipartite"
 FULL = "full"
@@ -175,7 +175,7 @@ def _check_nesting(g: Graph, order: NestOrder, budget: int | Meter) -> NestingRe
     violations: list[tuple[str, int, str]] = []
     surpluses: dict[str, int] = {}
     for side, image in order.next_side.items():
-        profile = min_union_profile(g, side, order.variant, meter)
+        profile = list(union_profile(g, side, order.variant, meter))
         surpluses[side] = surplus(profile)
         segments = initial_segments(order, image)
         for k, (minimum, nb) in enumerate(zip(profile, _segment_images(g, order, side)), start=1):
@@ -238,6 +238,7 @@ def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     side = min(order.next_side,
                key=lambda s: surplus(nb.bit_count() for nb in _segment_images(g, order, s)))
     segments = {s: initial_segments(order, s) for s in order.next_side}
+    nbrs = moves(g, order.variant)
     rabbit = segments[side][-1]
     shots: list[int] = []
     for _ in range(4 * g.n):
@@ -249,7 +250,7 @@ def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
                 f"position set is not an initial segment of the {side} order at step {len(shots) + 1}")
         shot = _tail_shot(segments[side], r, m)
         shots.append(shot)
-        rabbit = step(g, rabbit, shot, order.variant)
+        rabbit = step(nbrs, rabbit, shot)
         side = order.next_side[side]
     if rabbit == 0:
         return Strategy(tuple(shots), order.variant)

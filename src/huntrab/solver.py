@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Iterable, Iterator
 
@@ -33,13 +34,13 @@ from .graphs import (
     side_mask,
 )
 
-# Work units: one per subset the union enumeration visits, one per kept set
-# (successor candidate) of each state the search expands.  The kept-set
-# count depends only on |R| and k, so it is charged before the work and does
-# not change with how successors are built; a unit per half-table entry and
-# joined candidate would charge 2.7 times as much on small graphs.  Searched
-# from one part, grid 5x5 solves in 49,190 units, Q5 in 2,199,060 and grid
-# 6x6 in 3,091,174.
+# Work units: one per candidate a node of the union branch and bound scans,
+# one per kept set (successor candidate) of each state the search expands.
+# The kept-set count depends only on |R| and k, so it is charged before the
+# work and does not change with how successors are built; a unit per
+# half-table entry and joined candidate would charge 2.7 times as much on
+# small graphs.  Searched from one part, grid 5x5 solves in 42,929 units, Q5
+# in 2,098,170 and grid 6x6 in 2,664,140.
 DEFAULT_BUDGET = 10**8
 
 CLEARED = "cleared"
@@ -48,8 +49,8 @@ BLOCKED = "blocked"
 
 @dataclass
 class Meter:
-    """One work budget shared by every phase of a call.  Work is charged in
-    full before it starts, so a refusal comes before the work it refuses;
+    """One work budget shared by every phase of a call: the search charges
+    an expansion before it starts, the union bound its work as it runs.
     ``lower_bound`` is the best hunter count proved so far."""
 
     limit: int = DEFAULT_BUDGET
@@ -71,59 +72,70 @@ def as_meter(budget: int | Meter) -> Meter:
     return budget if isinstance(budget, Meter) else Meter(budget)
 
 
-def _side_contributions(g: Graph, side: str, variant: str) -> list[int]:
-    """The one-round moves of each vertex of the side."""
-    nbrs = moves(g, variant)
-    return [nbrs[v] for v in bits(side_mask(g, side))]
-
-
-def _min_union(contrib: list[int], k: int) -> int:
+def _min_union(contrib: list[int], k: int, floor: int, meter: Meter) -> int:
     """Smallest union of k of the contributions, by a depth-first branch and
     bound over the k-subsets in lexicographic order: a partial union already
     at the best size found so far cuts every subset that extends it, since a
-    union only grows."""
+    union only grows, and a k-union of floor vertices, a known lower bound,
+    ends the search.  A node costs one unit per candidate it scans, charged
+    when the search ends or once the count passes the budget left."""
+    n = len(contrib)
+    room = meter.limit - meter.spent
     best = sum(c.bit_count() for c in contrib) + 1  # above every union
+    units = 0
 
-    def extend(first: int, union: int, left: int) -> None:
+    def extend(first: int, union: int, left: int) -> bool:
         # add one of contrib[first:] to the partial union, leaving room for
-        # the left - 1 members still to come
-        nonlocal best
-        for i in range(first, len(contrib) - left + 1):
+        # the left - 1 members still to come; True once best reaches floor
+        nonlocal best, units
+        stop = n - left + 1
+        units += stop - first
+        if units > room:
+            meter.spend(units, "bound")  # raises
+        for i in range(first, stop):
             grown = union | contrib[i]
             size = grown.bit_count()
             if size >= best:
                 continue
             if left == 1:
                 best = size
-            else:
-                extend(i + 1, grown, left - 1)
+                if size <= floor:
+                    return True
+            elif extend(i + 1, grown, left - 1):
+                return True
+        return False
 
     extend(0, 0, k)
+    meter.spend(units, "bound")
     return best
+
+
+def union_profile(g: Graph, side: str = "all", variant: str = STANDARD,
+                  budget: int | Meter = DEFAULT_BUDGET) -> Iterator[int]:
+    """U(1), U(2), ..., U(|side|), where U(k) is the smallest |N(W)|
+    (|N[W]| for a deaf rabbit) over the k-subsets W of the side.
+
+    Each U(k) is computed, and charged, only when it is asked for.  Dropping
+    a vertex from a best k-set leaves a (k-1)-set whose union is no larger,
+    so U(k) >= U(k-1), and the search for U(k) ends at the first k-union of
+    U(k-1) vertices.
+    """
+    meter = as_meter(budget)
+    nbrs = moves(g, variant)
+    contrib = [nbrs[v] for v in bits(side_mask(g, side))]
+    floor = 0
+    for k in range(1, len(contrib) + 1):
+        floor = _min_union(contrib, k, floor, meter)
+        yield floor
 
 
 def min_neighborhood_union(g: Graph, k: int, side: str = "all", variant: str = STANDARD,
                            budget: int | Meter = DEFAULT_BUDGET) -> int:
-    """Smallest |N(W)| (|N[W]| for a deaf rabbit) over W in the side with |W| = k.
-
-    Exact, by branch and bound; charged as C(|side|, k) units, all of them,
-    before the search, which visits at most that many subsets.
-    """
-    contrib = _side_contributions(g, side, variant)
-    if not 1 <= k <= len(contrib):
-        raise InvalidParameterError(f"k={k} out of range 1..{len(contrib)}")
-    as_meter(budget).spend(comb(len(contrib), k), "bound")
-    return _min_union(contrib, k)
-
-
-def min_union_profile(g: Graph, side: str = "all", variant: str = STANDARD,
-                      budget: int | Meter = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """min_neighborhood_union for k = 1..|side|.  Only the whole profile
-    gives a surplus, so all of it, 2^|side| - 1 subsets, is charged before
-    any k is enumerated; each k then runs within what was paid."""
-    contrib = _side_contributions(g, side, variant)
-    as_meter(budget).spend((1 << len(contrib)) - 1, "bound")
-    return tuple(_min_union(contrib, k) for k in range(1, len(contrib) + 1))
+    """U(k) of the side, read off its union profile."""
+    mask = side_mask(g, side)
+    if not 1 <= k <= mask.bit_count():
+        raise InvalidParameterError(f"k={k} out of range 1..{mask.bit_count()}")
+    return next(islice(union_profile(g, side, variant, budget), k - 1, None))
 
 
 def surplus(profile: Iterable[int]) -> int:
@@ -131,27 +143,29 @@ def surplus(profile: Iterable[int]) -> int:
     return max((v - k for k, v in enumerate(profile, start=1)), default=0)
 
 
-def union_surplus(g: Graph, side: str = "all", variant: str = STANDARD,
-                  budget: int | Meter = DEFAULT_BUDGET) -> int:
-    """max over k of min_neighborhood_union(k) - k.
-
-    One more hunter than this is needed before the possible-position count
-    can shrink at every size, which is what makes it a lower bound.
-    """
-    return surplus(min_union_profile(g, side, variant, budget))
-
-
 def lower_bound_union(g: Graph, variant: str = STANDARD,
                       budget: int | Meter = DEFAULT_BUDGET) -> int:
-    """Least hunter count not excluded by the neighborhood-union argument."""
-    if g.n == 0:
-        return 0
-    return union_surplus(g, "all", variant, budget) + 1
+    """Least hunter count not excluded by the neighborhood-union argument:
+    max over j of min over the sides of U_side(j) - j + 1, the sides being
+    the two parts of a bipartite graph in the standard game, else all of V.
 
-
-def lower_bound_degeneracy(g: Graph) -> int:
-    """Hunter count forced by a densest peeling core."""
-    return degeneracy(g)
+    With h <= U(j) - j hunters, a position set of j + h or more vertices
+    keeps j unshot, so the next set has U(j) >= j + h or more again.  A
+    rabbit started on the even part of a bipartite graph alternates parts,
+    so both parts' minima at j must reach j + h (the start, the even part,
+    holds U_odd(j) or more).  The per-part rule surplus(side) + 1 is not a
+    bound: 2 on P3's odd part, which one hunter clears.  The profiles are
+    read in lockstep, raising meter.lower_bound after every j, so a budget
+    exit reports the bound of the finished prefix."""
+    meter = as_meter(budget)
+    paired = variant == STANDARD and bipartition(g) is not None
+    bound = 0
+    profiles = zip(*(union_profile(g, side, variant, meter)
+                     for side in (("even", "odd") if paired else ("all",))))
+    for j, unions in enumerate(profiles, start=1):
+        bound = max(bound, min(unions) - j + 1)
+        meter.lower_bound = max(meter.lower_bound, bound)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -297,55 +311,39 @@ class SolveResult:
     lower_bound_used: int
 
 
-def _paired_bound(g: Graph, meter: Meter) -> int:
-    """Least hunter count not excluded by the union argument from a start in
-    either part of a connected bipartite graph: max over j of
-    min(U_even(j), U_odd(j)) - j + 1, with U_side that side's union profile.
-    A position set alternates parts, so it stays at j + k vertices or more
-    once both minima at j reach j + k; the per-side rule
-    union_surplus(side) + 1 is not a bound (path P3: 2 on the odd side, but
-    one hunter clears it from there)."""
-    even = min_union_profile(g, "even", STANDARD, meter)
-    odd = min_union_profile(g, "odd", STANDARD, meter)
-    return surplus(map(min, even, odd)) + 1
-
-
 def hunter_number(g: Graph, variant: str = STANDARD,
                   budget: int | Meter = DEFAULT_BUDGET) -> SolveResult:
     """Exact hunter number with a verifying witness strategy.
 
     Each component is solved separately, iterating the hunter count upward
-    from its lower bound; the final answer is the max over components and
-    the witness plays the per-component witnesses in sequence (a cleared
-    component stays empty while later components are driven).
+    from its lower bound, lower_bound_union raised to the degeneracy; the
+    final answer is the max over components and the witness plays the
+    per-component witnesses in sequence (a cleared component stays empty
+    while later components are driven).  lower_bound_used is the max over
+    components of the bound used.
 
     In the standard game a bipartite component with more than one vertex is
-    searched from its even part only, upward from the paired bound
-    (_paired_bound).  No other start needs more hunters: one empty shot
-    moves the whole odd part onto the whole even part, as every vertex has
-    a neighbor.  The even-start witness W_e shoots only in the part the
-    even-start rabbit is on, never in the odd-start rabbit's, so
-    extend_parity plays W_e again, after an empty shot when len(W_e) is
-    even.  Every other component searches from V, upward from the full-set
-    union bound.  lower_bound_used is the max over components of the bound
-    used, each raised to the degeneracy.
+    searched from its even part only.  No other start needs more hunters:
+    one empty shot moves the whole odd part onto the whole even part, as
+    every vertex has a neighbor.  The even-start witness W_e shoots only in
+    the part the even-start rabbit is on, never in the odd-start rabbit's,
+    so extend_parity plays W_e again, after an empty shot when len(W_e) is
+    even.  Every other component searches from V.
 
     One budget covers the bounds and the searches of every component; when
-    it runs out, the error carries the best hunter count proved so far.
+    it runs out, the error carries the best hunter count proved so far,
+    which counts every finished prefix of a union profile.
     """
     meter = as_meter(budget)
     answer = bound_used = explored_total = 0
     all_shots: list[int] = []
     for comp in components(g):
         sub, old = induced_subgraph(g, comp)
-        k = max(1, lower_bound_degeneracy(sub))
+        k = max(1, degeneracy(sub))
         meter.lower_bound = max(meter.lower_bound, k)
+        k = max(k, lower_bound_union(sub, variant, meter))
         parts = bipartition(sub) if variant == STANDARD and sub.n > 1 else None
-        if parts is None:
-            start, bound = None, lower_bound_union(sub, variant, meter)
-        else:
-            start, bound = parts.even, _paired_bound(sub, meter)
-        k = max(k, bound)
+        start = None if parts is None else parts.even
         bound_used = max(bound_used, k)
         while True:
             meter.lower_bound = max(meter.lower_bound, k)

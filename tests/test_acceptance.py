@@ -29,7 +29,7 @@ from huntrab.cube import (
     cube_surplus,
     cube_surplus_closed_form,
 )
-from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, step, verify
+from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, moves, step, verify
 from huntrab.graphs import cycle_graph, grid_graph, hypercube_graph, path_graph, star_graph
 from huntrab.nesting import (
     check_closed_nesting,
@@ -40,7 +40,7 @@ from huntrab.nesting import (
     weightlex_full_order,
     weightlex_nest_order,
 )
-from huntrab.solver import CLEARED, can_clear, hunter_number, min_union_profile
+from huntrab.solver import CLEARED, can_clear, hunter_number, union_profile
 
 
 @contextmanager
@@ -86,8 +86,8 @@ def test_criterion_3_analytic_profiles_match_brute_force():
         for n in range(1, 6):
             g = hypercube_graph(n)
             analytic = tuple(accumulate(cube_diff_seq(n, "even")))
-            even = min_union_profile(g, "even")
-            odd = min_union_profile(g, "odd")
+            even = tuple(union_profile(g, "even"))
+            odd = tuple(union_profile(g, "odd"))
             assert even == analytic
             assert odd == analytic
             assert even == odd
@@ -111,8 +111,8 @@ def test_criterion_5_exact_solver_matches_closed_form_on_cubes():
         for n in (1, 2, 3, 4):
             assert hunter_number(hypercube_graph(n)).hunter_number == cube_hunter_number(n)
         # the first cube past Q4 on the search route: the parity split needs
-        # 2,199,060 units, where the full-set union profile alone would be
-        # 2^32 - 1
+        # 2,098,170 units, 30,180 of them for the paired bound's two part
+        # profiles
         q5 = hypercube_graph(5)
         result = hunter_number(q5)
         assert result.hunter_number == cube_hunter_number(5) == 8
@@ -191,14 +191,16 @@ def test_criterion_9_property_suites():
             small = big & random_mask(rng, g.n)
             shot = random_mask(rng, g.n)
             variant = rng.choice((STANDARD, DEAF))
-            assert step(g, small, shot, variant) & ~step(g, big, shot, variant) == 0
+            nbrs = moves(g, variant)
+            assert step(nbrs, small, shot) & ~step(nbrs, big, shot) == 0
 
         for _ in range(1000):  # wasted-shot invariance
             g = random_graph(rng, 7)
             rabbit = random_mask(rng, g.n)
             shot = random_mask(rng, g.n)
             variant = rng.choice((STANDARD, DEAF))
-            assert step(g, rabbit, shot, variant) == step(g, rabbit, shot & rabbit, variant)
+            nbrs = moves(g, variant)
+            assert step(nbrs, rabbit, shot) == step(nbrs, rabbit, shot & rabbit)
 
         for _ in range(1000):  # witness soundness
             g = random_graph(rng, 7)

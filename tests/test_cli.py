@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from huntrab import cli, solver
+from huntrab import cli, graphs, solver
 from huntrab.cube import MAX_SEQ_DIM, cube_diff_seq
 from huntrab.dynamics import STANDARD, Caught, Strategy, read_strategy, verify
 from huntrab.graphs import format_graph, graph_from_edges, hypercube_graph, read_graph
@@ -103,8 +103,8 @@ def test_solve_budget_exit_3(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("family, params, best", [("grid", ("5", "5"), 2),
-                                                  ("hypercube", ("5",), 5)])
+@pytest.mark.parametrize("family, params, best", [("grid", ("5", "5"), 3),
+                                                  ("hypercube", ("5",), 7)])
 def test_small_budget_exits_quickly_with_phase_and_bound(tmp_path, capsys, family, params, best):
     path = tmp_path / "g.graph"
     run_cli(capsys, "gen", family, *params, "-o", str(path))
@@ -113,7 +113,7 @@ def test_small_budget_exits_quickly_with_phase_and_bound(tmp_path, capsys, famil
     assert time.perf_counter() - started < 1
     assert code == 3 and out == ""
     assert "bound phase" in err
-    assert f"best lower bound {best}" in err  # the degeneracy, which costs no budget
+    assert f"best lower bound {best}" in err  # the paired bound's finished prefix
 
 
 @pytest.mark.parametrize("command", ["solve", "bounds"])
@@ -131,8 +131,11 @@ def test_bounds_budget_exit_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "10")
     assert code == 3 and out == ""
     assert "bound phase" in err and "best lower bound 2" in err
-    code, _, _ = run_cli(capsys, "bounds", str(path), "--budget", str(2**16 - 1))
-    assert code == 0
+    # the two part profiles take 509 units, and their first few j prove 3
+    code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "508")
+    assert code == 3 and "best lower bound 3" in err
+    code, report = run_json(capsys, "bounds", str(path), "--budget", "509")
+    assert code == 0 and report["results"]["union_bound"] == 3
 
 
 def test_exit_codes_hold_under_python_O(tmp_path, capsys):
@@ -190,16 +193,19 @@ def test_bounds_q3_deaf(tmp_path, capsys):
 
 
 def test_bounds_hypercube_upper_is_the_largest_weight_layer(tmp_path, capsys, monkeypatch):
-    # the union profile of Q5 and Q6 is past any practical budget, and the
-    # upper bound does not depend on it
-    monkeypatch.setattr(solver, "lower_bound_union", lambda *args: 0)
+    # the union bound of Q6 takes about half a minute, and the upper bound
+    # does not depend on it
     for n in range(1, 7):
+        if n == 6:
+            monkeypatch.setattr(solver, "lower_bound_union", lambda *args: 0)
         path = tmp_path / f"q{n}.graph"
         run_cli(capsys, "gen", "hypercube", str(n), "-o", str(path))
         code, report = run_json(capsys, "bounds", str(path))
         assert code == 0
         layers = Counter(label.count("1") for label in read_graph(str(path)).labels)
         assert report["results"]["hypercube_upper"] == max(layers.values()), n
+        if n == 5:
+            assert (report["results"]["union_bound"], report["results"]["hypercube_upper"]) == (8, 10)
 
 
 def test_bounds_hypercube_upper_needs_the_subset_coded_cube(tmp_path, capsys):
@@ -282,12 +288,13 @@ def test_strategy_deaf_full_order(tmp_path, capsys):
 
 
 def test_strategy_with_given_hunters_enumerates_nothing(tmp_path, capsys, monkeypatch):
-    # a Q6 side profile alone would be 2^32 - 1 units, past the default
-    # budget; nor is the degeneracy that seeds the nesting check's meter needed
-    def no_degeneracy(g):
-        raise AssertionError("degeneracy computed")
+    # the Q6 nesting check takes about half a minute; neither it nor the
+    # degeneracy that seeds its meter is needed
+    def no_work(*args):
+        raise AssertionError("bound computed")
 
-    monkeypatch.setattr(solver, "lower_bound_degeneracy", no_degeneracy)
+    monkeypatch.setattr(graphs, "degeneracy", no_work)
+    monkeypatch.setattr(solver.Meter, "spend", no_work)
     graph_path = tmp_path / "q6.graph"
     run_cli(capsys, "gen", "hypercube", "6", "-o", str(graph_path))
     code, report = run_json(capsys, "strategy", str(graph_path), "--order", "weightlex",

@@ -14,6 +14,7 @@ from huntrab.dynamics import (
     concatenate,
     extend_parity,
     format_strategy,
+    moves,
     parse_strategy,
     run,
     step,
@@ -51,9 +52,9 @@ def q4_paper_strategy() -> Strategy:
 
 def test_step_examples():
     p3 = path_graph(3)
-    assert step(p3, 0b111, 0b010) == 0b010
-    assert step(p3, 0b111, 0b010, DEAF) == 0b111
-    assert step(cycle_graph(5), 0, 0b1) == 0
+    assert step(moves(p3, STANDARD), 0b111, 0b010) == 0b010
+    assert step(moves(p3, DEAF), 0b111, 0b010) == 0b111
+    assert step(moves(cycle_graph(5), STANDARD), 0, 0b1) == 0
 
 
 def test_run_path_sweep_catches_even_part():
@@ -197,8 +198,9 @@ def test_monotone_dynamics_and_wasted_shots(data):
     small = big & data.draw(st.integers(min_value=0, max_value=g.full_mask))
     shot = data.draw(st.integers(min_value=0, max_value=g.full_mask))
     for variant in (STANDARD, DEAF):
-        assert step(g, small, shot, variant) & ~step(g, big, shot, variant) == 0
-        assert step(g, big, shot, variant) == step(g, big, shot & big, variant)
+        nbrs = moves(g, variant)
+        assert step(nbrs, small, shot) & ~step(nbrs, big, shot) == 0
+        assert step(nbrs, big, shot) == step(nbrs, big, shot & big)
 
 
 def test_deaf_catch_implies_standard_catch():

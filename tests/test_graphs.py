@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_degeneracy, clearing_bits, random_mask
-from huntrab.dynamics import DEAF, STANDARD, step
+from huntrab.dynamics import DEAF, STANDARD, moves, step
 from huntrab.errors import CapacityError, FormatError, InvalidParameterError
 from huntrab.graphs import (
     Graph,
@@ -113,7 +113,7 @@ def test_graph_from_edges_validation():
 
 
 def neighborhood(g: Graph, vset: int, closed: bool = False) -> int:
-    return step(g, vset, 0, DEAF if closed else STANDARD)
+    return step(moves(g, DEAF if closed else STANDARD), vset, 0)
 
 
 def test_neighborhood_examples():

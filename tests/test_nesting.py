@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import lex_key, weightlex_key
-from huntrab.dynamics import Caught, extend_parity, run, step, verify
+from huntrab.dynamics import STANDARD, Caught, extend_parity, moves, run, step, verify
 from huntrab.errors import (
     BudgetExceededError,
     FormatError,
@@ -39,7 +39,7 @@ from huntrab.nesting import (
     weightlex_full_order,
     weightlex_nest_order,
 )
-from huntrab.solver import Meter, hunter_number, union_surplus
+from huntrab.solver import Meter, hunter_number, surplus, union_profile
 
 from test_dynamics import Q4_SHOT_LABELS
 
@@ -236,7 +236,7 @@ def test_nest_strategy_drives_the_side_with_the_smaller_union_surplus():
     cases.append((star_graph(4), NestOrder(BIPARTITE, (0,), (1, 2, 3, 4))))  # drives odd
     for g, order in cases:
         assert check_isoperimetric_nesting(g, order).ok
-        u_even, u_odd = union_surplus(g, "even"), union_surplus(g, "odd")
+        u_even, u_odd = surplus(union_profile(g, "even")), surplus(union_profile(g, "odd"))
         driven = "even" if u_even <= u_odd else "odd"
         strategy = nest_strategy(g, order, max(u_even, u_odd) + 1)
         first = next(s for s in strategy.shots if s)
@@ -274,15 +274,17 @@ def test_hunter_number_via_nesting_values():
 
 
 def test_nesting_route_enumerates_each_side_once_under_one_budget(monkeypatch):
-    # each side of Q^4 has 8 vertices: a profile is 2^8 - 1 = 255 subsets
+    # each side of Q^4 has 8 vertices, and its profile's branch and bound
+    # scans 248 candidates
     q4 = hypercube_graph(4)
     order = weightlex_nest_order(q4)
     meter = Meter()
     m = hunter_number_via_nesting(q4, order, meter)
-    assert meter.spent == 2 * 255  # the check's profiles give the surpluses
+    assert meter.spent == 2 * 248  # the check's profiles give the surpluses
     with pytest.raises(BudgetExceededError) as exc:
-        check_isoperimetric_nesting(q4, order, budget=2 * 255 - 1)
-    assert exc.value.phase == "bound" and exc.value.spent == 255
+        check_isoperimetric_nesting(q4, order, budget=2 * 248 - 1)
+    # the even side and the odd side's k = 1..7 are paid for; k = 8 (8 units) is not
+    assert exc.value.phase == "bound" and exc.value.spent == 2 * 248 - 8
     charges = []
     monkeypatch.setattr(Meter, "spend", lambda self, units, phase: charges.append(units))
     nest_strategy(q4, order, m)
@@ -291,7 +293,7 @@ def test_nesting_route_enumerates_each_side_once_under_one_budget(monkeypatch):
     full = weightlex_full_order(q4)
     meter = Meter()
     assert hunter_number_via_nesting(q4, full, meter) == 8
-    assert meter.spent == 2**16 - 1
+    assert meter.spent == 15_090
 
 
 def test_hunter_number_via_nesting_rejects_unbalanced_sides():
@@ -338,16 +340,14 @@ def test_neighborhood_of_weightlex_segment_is_weightlex_segment():
             seq = order.sequence(side)
             other_seq = order.sequence(other)
             for k in range(1, len(seq) + 1):
-                nb = step(g, mask_of(seq[:k]), 0)
+                nb = step(moves(g, STANDARD), mask_of(seq[:k]), 0)
                 assert nb == mask_of(other_seq[:nb.bit_count()]), (n, side, k)
 
 
 def test_even_and_odd_profiles_agree_on_cubes():
-    from huntrab.solver import min_union_profile
-
     for n in range(1, 5):
         g = hypercube_graph(n)
-        assert min_union_profile(g, "even") == min_union_profile(g, "odd")
+        assert list(union_profile(g, "even")) == list(union_profile(g, "odd"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import math
 import random
 from itertools import accumulate
 
@@ -12,14 +11,15 @@ from conftest import (
     random_graph,
     random_mask,
 )
-from huntrab.cube import cube_diff_seq, cube_hunter_number
-from huntrab.dynamics import DEAF, STANDARD, Caught, verify
+from huntrab.cube import cube_deaf_surplus, cube_diff_seq, cube_hunter_number
+from huntrab.dynamics import DEAF, STANDARD, Caught, moves, verify
 from huntrab.errors import BudgetExceededError, InvalidParameterError
 from huntrab.graphs import (
     bipartition,
     bits,
     components,
     cycle_graph,
+    degeneracy,
     graph_from_edges,
     grid_graph,
     hypercube_graph,
@@ -30,14 +30,14 @@ from huntrab.solver import (
     BLOCKED,
     CLEARED,
     Meter,
+    _min_union,
     _successors,
     can_clear,
     hunter_number,
-    lower_bound_degeneracy,
     lower_bound_union,
     min_neighborhood_union,
-    min_union_profile,
-    union_surplus,
+    surplus,
+    union_profile,
 )
 
 
@@ -90,9 +90,78 @@ def test_min_union_matches_set_based_oracle():
             sides.update(even=bits(parts.even), odd=bits(parts.odd))
         for side, vertices in sides.items():
             for variant in (STANDARD, DEAF):
+                # each k of the profile stops early at a union of U(k - 1)
+                # vertices; min_neighborhood_union reads the same profile
+                brute = [brute_min_union(g, k, vertices, closed=(variant == DEAF))
+                         for k in range(1, len(vertices) + 1)]
+                assert list(union_profile(g, side, variant)) == brute, (g, side, variant)
                 for k in range(1, len(vertices) + 1):
-                    assert min_neighborhood_union(g, k, side, variant) == \
-                        brute_min_union(g, k, vertices, closed=(variant == DEAF)), (g, side, variant, k)
+                    assert min_neighborhood_union(g, k, side, variant) == brute[k - 1], \
+                        (g, side, variant, k)
+
+
+def test_union_bound_on_random_bipartite_graphs():
+    # disconnected graphs and isolated vertices included: the paired bound
+    # is never below the bound from all of V, nor above the hunter number,
+    # and on a connected graph it is the bound solve starts from
+    rng = random.Random(909)
+    for trial in range(1000):
+        g = _random_bipartite_graph(rng, 14)
+        if trial % 3 == 0:
+            g = graph_from_edges(g.n + rng.randrange(1, 3), list(g.edges()))  # isolated vertices
+        bound = lower_bound_union(g)
+        assert bound >= surplus(union_profile(g, "all")) + 1, list(g.edges())
+        if g.n <= 10:
+            result = hunter_number(g)
+            assert bound <= result.hunter_number, list(g.edges())
+            if len(components(g)) == 1:
+                assert result.lower_bound_used == max(1, degeneracy(g), bound), list(g.edges())
+
+
+@pytest.mark.parametrize("g, variant, sides", [(hypercube_graph(5), STANDARD, ("even", "odd")),
+                                               (hypercube_graph(4), DEAF, ("all",))])
+def test_union_bound_budget_exit_reports_the_finished_prefix(g, variant, sides):
+    # the sides' profiles in lockstep, as lower_bound_union reads them: the
+    # units spent and the bound proved once each j is finished
+    meter = Meter()
+    finished = [(0, 0)]
+    for j, unions in enumerate(zip(*(union_profile(g, side, variant, meter) for side in sides)), 1):
+        finished.append((meter.spent, max(finished[-1][1], min(unions) - j + 1)))
+    assert lower_bound_union(g, variant, meter.spent) == finished[-1][1]
+    for (before, bound), (after, _) in zip(finished, finished[1:]):
+        for budget in (before, (before + after) // 2, after - 1):
+            with pytest.raises(BudgetExceededError) as exc:
+                lower_bound_union(g, variant, budget)
+            assert exc.value.phase == "bound" and exc.value.spent <= budget
+            assert exc.value.best_lower_bound == bound, budget
+
+
+def test_union_search_reads_no_candidate_past_its_budget():
+    # a node adds its scan to the count before it reads a candidate, so the
+    # budget bounds the work inside one U(k), not only between them
+    reads = []
+
+    class Contrib(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    contrib = Contrib(moves(hypercube_graph(5), DEAF))
+    for budget in (0, 1, 31, 32, 1000, 54321):
+        reads.clear()
+        with pytest.raises(BudgetExceededError) as exc:
+            _min_union(contrib, 16, 0, Meter(budget))
+        assert exc.value.phase == "bound" and exc.value.spent == 0
+        assert len(reads) <= budget
+
+
+def test_union_bound_meets_the_cube_closed_forms():
+    # the paired bound is exact on Q^1..Q^5, and the deaf bound from all of
+    # V is the scanned deaf surplus + 1 on Q^1..Q^4
+    for n in range(1, 6):
+        assert lower_bound_union(hypercube_graph(n)) == cube_hunter_number(n), n
+    for n in range(1, 5):
+        assert lower_bound_union(hypercube_graph(n), DEAF) == cube_deaf_surplus(n) + 1, n
 
 
 def test_union_bound_on_grid_5x5():
@@ -104,18 +173,18 @@ def test_union_bound_on_grid_5x5():
 
 
 def test_profiles():
-    assert min_union_profile(hypercube_graph(4), "even") == (4, 6, 7, 7, 8, 8, 8, 8)
-    assert min_union_profile(hypercube_graph(3), "odd") == (3, 4, 4, 4)
-    assert min_union_profile(path_graph(2)) == (1, 2)
-    profile = min_union_profile(hypercube_graph(4), "even")
+    assert tuple(union_profile(hypercube_graph(4), "even")) == (4, 6, 7, 7, 8, 8, 8, 8)
+    assert tuple(union_profile(hypercube_graph(3), "odd")) == (3, 4, 4, 4)
+    assert tuple(union_profile(path_graph(2))) == (1, 2)
+    profile = tuple(union_profile(hypercube_graph(4), "even"))
     diffs = tuple(b - a for a, b in zip((0,) + profile, profile))
     assert diffs == (4, 2, 1, 0, 1, 0, 0, 0) == cube_diff_seq(4, "even")
 
 
 def test_union_surplus_examples():
-    assert union_surplus(hypercube_graph(3), "even") == 2
-    assert union_surplus(hypercube_graph(4), "even") == 4
-    assert union_surplus(path_graph(2)) == 0
+    assert surplus(union_profile(hypercube_graph(3), "even")) == 2
+    assert surplus(union_profile(hypercube_graph(4), "even")) == 4
+    assert surplus(union_profile(path_graph(2))) == 0
 
 
 def test_lower_bounds():
@@ -123,20 +192,20 @@ def test_lower_bounds():
     assert lower_bound_union(cycle_graph(5)) == 2
     assert lower_bound_union(hypercube_graph(3), DEAF) == 5
     assert lower_bound_union(graph_from_edges(0, [])) == 0
-    assert lower_bound_degeneracy(hypercube_graph(3)) == 3
-    assert lower_bound_degeneracy(path_graph(7)) == 1
-    assert lower_bound_degeneracy(grid_graph(3, 3)) == 2
+    assert degeneracy(hypercube_graph(3)) == 3
+    assert degeneracy(path_graph(7)) == 1
+    assert degeneracy(grid_graph(3, 3)) == 2
 
 
 def test_brute_profiles_agree_with_analytic_cube_profiles():
     for n in range(1, 6):
         g = hypercube_graph(n)
         analytic = tuple(accumulate(cube_diff_seq(n, "even")))
-        assert min_union_profile(g, "even") == analytic
-        assert min_union_profile(g, "odd") == analytic
+        assert tuple(union_profile(g, "even")) == analytic
+        assert tuple(union_profile(g, "odd")) == analytic
     for n in range(1, 5):
         g = hypercube_graph(n)
-        assert min_union_profile(g, "all", DEAF) == cube_deaf_closed_profile(n)
+        assert tuple(union_profile(g, "all", DEAF)) == cube_deaf_closed_profile(n)
 
 
 # ---------------------------------------------------------------------------
@@ -312,31 +381,40 @@ def test_hunter_number_budget_exceeded_carries_bounds():
 
 
 def test_union_budget_is_cumulative_across_k():
+    # U(k) is read off the profile, so it costs the candidates scanned for
+    # U(1), ..., U(k)
     q4 = hypercube_graph(4)
+    meter = Meter()
+    spent = [meter.spent for _ in union_profile(q4, budget=meter)]
+    assert spent[-1] == 8776
     for k in range(1, 17):
-        min_neighborhood_union(q4, k, budget=math.comb(16, k))
+        min_neighborhood_union(q4, k, budget=spent[k - 1])
+        with pytest.raises(BudgetExceededError):
+            min_neighborhood_union(q4, k, budget=spent[k - 1] - 1)
+    # the paired bound reads the two 8-vertex part profiles, 248 units each
     with pytest.raises(BudgetExceededError) as exc:
-        lower_bound_union(q4, budget=2**16 - 2)
+        lower_bound_union(q4, budget=2 * 248 - 1)
     assert exc.value.phase == "bound"
-    assert lower_bound_union(q4, budget=2**16 - 1) == 5
+    assert lower_bound_union(q4, budget=2 * 248) == 5
 
 
 def test_hunter_number_budget_covers_the_bound_phase():
-    # the two side profiles of grid 4x4 cost 2 * (2^8 - 1) = 510 units
+    # the two part profiles of grid 4x4 cost 509 units; the bound reaches
+    # h = 3 in the prefix paid for
     with pytest.raises(BudgetExceededError) as exc:
         hunter_number(grid_graph(4, 4), budget=500)
     assert exc.value.phase == "bound"
-    assert exc.value.best_lower_bound == 2  # the degeneracy, which costs no budget
+    assert exc.value.best_lower_bound == 3
 
 
 def test_budget_bounds_the_total_work_of_a_solve():
     # a tree whose deaf hunter number 3 is above both bounds (2): the
     # search blocks at 2 hunters and clears with 3
     g = graph_from_edges(8, [(0, 3), (1, 4), (1, 7), (2, 3), (2, 4), (2, 6), (5, 6)])
-    assert max(lower_bound_degeneracy(g), lower_bound_union(g, DEAF)) == 2
+    assert max(degeneracy(g), lower_bound_union(g, DEAF)) == 2
     meter = Meter()
     assert hunter_number(g, DEAF, meter).hunter_number == 3
-    assert meter.spent > 2**8 - 1  # the union profile, then the searches
+    assert meter.spent == 885  # 244 for the union profile, then the searches
     assert hunter_number(g, DEAF, meter.spent).hunter_number == 3
     with pytest.raises(BudgetExceededError) as exc:
         hunter_number(g, DEAF, meter.spent - 1)
@@ -350,7 +428,7 @@ def test_bound_consistency_on_random_graphs():
         g = random_graph(rng, 7)
         for variant in (STANDARD, DEAF):
             result = hunter_number(g, variant)
-            assert result.hunter_number >= lower_bound_degeneracy(g)
+            assert result.hunter_number >= degeneracy(g)
             assert all(result.hunter_number >= lower_bound_union(sub, variant)
                        for sub in _component_subgraphs(g))
 
@@ -399,11 +477,11 @@ def test_parity_split_matches_full_set_search():
 
 
 def test_paired_seed_stays_below_the_odd_start():
-    # the per-side rule union_surplus(side) + 1 would seed P3's odd side at
-    # 2 hunters, but one hunter clears it from there
+    # the per-side rule surplus(side) + 1 would seed P3's odd side at 2
+    # hunters, but one hunter clears it from there
     p3 = path_graph(3)
     odd = bipartition(p3).odd
-    assert union_surplus(p3, "odd") + 1 == 2
+    assert surplus(union_profile(p3, "odd")) + 1 == 2
     assert can_clear(p3, 1, start=odd).status == CLEARED
     result = hunter_number(p3)
     assert result.lower_bound_used == result.hunter_number == 1
