@@ -37,7 +37,7 @@ from .graphs import (
 )
 from .nesting import (
     NestOrder,
-    check_closed_nesting,
+    builtin_order,
     check_isoperimetric_nesting,
     grid_nest_order,
     hunter_number_via_nesting,

@@ -129,31 +129,19 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         "union_bound": solver.lower_bound_union(g, variant, solver.Meter(args.budget, degeneracy)),
         "degeneracy_bound": degeneracy,
     }
-    # a graph identical to gen hypercube's Q^n, labels included, projects
-    # onto its weight path with the weight layers as fibers
-    dim = g.n.bit_length() - 1
-    if not args.deaf and 1 <= dim <= graphs.MAX_HYPERCUBE_DIM and g == graphs.hypercube_graph(dim):
+    # Q^n, n >= 1, projects onto its weight path with the weight layers as fibers
+    if not args.deaf and (dim := graphs.cube_dim(g)):
         results["hypercube_upper"] = cube_mod.cube_hunter_upper(dim)
     return {"inputs": {"graph": _digest(args.graph)}, "results": results, "warnings": []}, 0
-
-
-def _resolve_order(args, g: graphs.Graph) -> nesting.NestOrder:
-    if args.order in (None, "weightlex"):
-        if args.order is None and args.dims:
-            return nesting.grid_nest_order(*args.dims)
-        return (nesting.weightlex_full_order(g) if args.deaf
-                else nesting.weightlex_nest_order(g))
-    if args.order == "grid":
-        if not args.dims:
-            raise InvalidParameterError("--order grid requires --dims M N")
-        return nesting.grid_nest_order(*args.dims)
-    return nesting.read_nest_order(args.order)
 
 
 def _cmd_strategy(args) -> tuple[dict, int]:
     g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
-    order = _resolve_order(args, g)
+    order = nesting.read_nest_order(args.order) if args.order else nesting.builtin_order(g, variant)
+    if order is None:
+        raise InvalidParameterError("the graph is not what gen writes for a hypercube, nor in the "
+                                    "standard game for a grid or path; give --order FILE")
     if variant != order.variant:
         raise InvalidParameterError(f"the {variant} variant does not take a {order.kind}-kind order")
     m = args.hunters
@@ -314,9 +302,9 @@ COMMANDS = {
     }),
     "strategy": (_cmd_strategy, "build a nest-order strategy", {
         "graph": {},
-        "--order": {"help": "weightlex, grid, or a nest-order file path"},
-        "--dims": {"nargs": 2, "type": int, "metavar": ("M", "N"),
-                   "help": "grid dimensions (required with --order grid)"},
+        "--order": {"metavar": "FILE",
+                    "help": "nest-order file (default: the built-in order of a gen hypercube, "
+                            "or in the standard game of a gen grid or path)"},
         "--hunters": {"type": int, "help": "shots per round (default: from the nesting check)"},
         "--deaf": {"action": "store_true"},
         "--extend-parity": {"action": "store_true",

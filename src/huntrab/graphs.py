@@ -155,8 +155,17 @@ def hypercube_graph(n: int) -> Graph:
         raise CapacityError(f"hypercube dimension {n} exceeds supported maximum {MAX_HYPERCUBE_DIM}")
     size = 1 << n
     adj = tuple(mask_of(v ^ (1 << b) for b in range(n)) for v in range(size))
+    # Q0's one label would be empty, which the text format does not write
     labels = tuple("".join("1" if v >> j & 1 else "0" for j in range(n)) for v in range(size))
-    return Graph(size, adj, labels)
+    return Graph(size, adj, labels if n else None)
+
+
+def cube_dim(g: Graph) -> int | None:
+    """The n with g == hypercube_graph(n), vertex numbering and labels
+    included, or None; edge counts are compared before a cube is built."""
+    n = g.n.bit_length() - 1
+    found = 0 <= n <= MAX_HYPERCUBE_DIM and g.edge_count == n * g.n // 2 and g == hypercube_graph(n)
+    return n if found else None
 
 
 def star_graph(n: int) -> Graph:

@@ -24,7 +24,7 @@ from .errors import (
     InvalidParameterError,
     NonTerminatingError,
 )
-from .graphs import Graph, iter_bits, mask_of, side_mask
+from .graphs import Graph, cube_dim, grid_graph, iter_bits, mask_of, side_mask
 from .solver import DEFAULT_BUDGET, Meter, as_meter, surplus, union_profile
 
 BIPARTITE = "bipartite"
@@ -144,6 +144,21 @@ def grid_nest_order(m: int, n: int) -> NestOrder:
     return NestOrder(BIPARTITE, even, odd)
 
 
+def builtin_order(g: Graph, variant: str) -> NestOrder | None:
+    """The nest order of a graph equal to what gen writes, or None: weightlex
+    on a hypercube (the full order in the deaf game) and, in the standard game
+    only, the diagonal sweep on a grid_graph(m, n), paths being m = 1."""
+    if cube_dim(g) is not None:
+        return weightlex_full_order(g) if variant == DEAF else weightlex_nest_order(g)
+    if variant == STANDARD:
+        for m in range(1, g.n + 1):
+            n, rest = divmod(g.n, m)
+            # an m-by-n grid has 2mn - m - n edges, counted before it is built
+            if not rest and g.edge_count == 2 * g.n - m - n and g == grid_graph(m, n):
+                return grid_nest_order(m, n)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Verification against brute-force minima
 
@@ -169,7 +184,11 @@ def _segment_images(g: Graph, order: NestOrder, side: str) -> list[int]:
     return list(accumulate((nbrs[v] for v in order.sequence(side)), or_))
 
 
-def _check_nesting(g: Graph, order: NestOrder, budget: int | Meter) -> NestingReport:
+def check_isoperimetric_nesting(g: Graph, order: NestOrder,
+                                budget: int | Meter = DEFAULT_BUDGET) -> NestingReport:
+    """Check, for every k on each side, that the moves (N( ), or N[ ] for a full
+    order) of the side's first k vertices are an initial segment of the side
+    they land in and of the brute-force minimum size.  Lists every violated (side, k)."""
     _bind(g, order)
     meter = as_meter(budget)
     violations: list[tuple[str, int, str]] = []
@@ -185,25 +204,6 @@ def _check_nesting(g: Graph, order: NestOrder, budget: int | Meter) -> NestingRe
             if size != minimum:
                 violations.append((side, k, f"segment neighborhood has {size} vertices, minimum is {minimum}"))
     return NestingReport(not violations, tuple(violations), surpluses)
-
-
-def check_isoperimetric_nesting(g: Graph, order: NestOrder,
-                                budget: int | Meter = DEFAULT_BUDGET) -> NestingReport:
-    """Check, for every k on both sides, that the open neighborhood of the
-    initial segment is an initial segment of the other side and achieves the
-    brute-force minimum.  Lists every violated (side, k)."""
-    if order.kind != BIPARTITE:
-        raise InvalidParameterError("expected a bipartite-kind order")
-    return _check_nesting(g, order, budget)
-
-
-def check_closed_nesting(g: Graph, order: NestOrder,
-                         budget: int | Meter = DEFAULT_BUDGET) -> NestingReport:
-    """Check, for every prefix of the order on all of V, that its closed
-    neighborhood is a prefix again and achieves the brute-force minimum."""
-    if order.kind != FULL:
-        raise InvalidParameterError("expected a full-kind order")
-    return _check_nesting(g, order, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +264,7 @@ def hunter_number_via_nesting(g: Graph, order: NestOrder,
     the side surpluses differ by at most one (always so for the single side
     of a full order), then returns min(surpluses) + 1, and at least 1 on a
     graph with a vertex."""
-    check = check_isoperimetric_nesting if order.kind == BIPARTITE else check_closed_nesting
-    report = check(g, order, budget)
+    report = check_isoperimetric_nesting(g, order, budget)
     if not report.ok:
         raise InvalidOrderError(f"order is not a nesting; first violation {report.violations[0]}")
     u = report.surpluses
@@ -309,6 +308,7 @@ def shot_labels(g: Graph, strategy: Strategy, order: NestOrder) -> list[list[str
 #   kind bipartite|full
 #   bipartite: one line of even-part vertices, one line of odd-part vertices
 #   full:      one line of all vertices
+#   A blank line is an empty part; '#'-prefixed lines are comments.
 
 
 def format_nest_order(order: NestOrder) -> str:
@@ -318,19 +318,22 @@ def format_nest_order(order: NestOrder) -> str:
 
 
 def parse_nest_order(text: str) -> NestOrder:
-    lines = [line for line in text.splitlines()]
-    if not lines or not lines[0].startswith("kind"):
+    lines = text.splitlines()
+    if not lines or lines[0].split()[:1] != ["kind"]:
         raise FormatError(1, "expected 'kind bipartite|full' header")
-    kind = lines[0].split(maxsplit=1)[1].strip() if len(lines[0].split(maxsplit=1)) > 1 else ""
+    kind = " ".join(lines[0].split()[1:])
     body: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         try:
-            body.append(tuple(int(tok) for tok in line.split()))
+            part = tuple(int(tok) for tok in line.split())
         except ValueError:
             raise FormatError(lineno, "order lines must hold integers") from None
+        if any(v < 0 for v in part):
+            raise FormatError(lineno, "vertex indices must be non-negative")
+        body.append(part)
     try:
         if kind == BIPARTITE:
             if len(body) != 2:

@@ -32,7 +32,6 @@ from huntrab.cube import (
 from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, moves, step, verify
 from huntrab.graphs import cycle_graph, grid_graph, hypercube_graph, path_graph, star_graph
 from huntrab.nesting import (
-    check_closed_nesting,
     check_isoperimetric_nesting,
     grid_nest_order,
     nest_strategy,
@@ -159,7 +158,7 @@ def test_criterion_7_nesting_checks():
             assert report.ok, report.violations
         for n in range(1, 5):
             g = hypercube_graph(n)
-            report = check_closed_nesting(g, weightlex_full_order(g))
+            report = check_isoperimetric_nesting(g, weightlex_full_order(g))
             assert report.ok, report.violations
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from huntrab.graphs import format_graph, graph_from_edges, hypercube_graph, read
 from huntrab.nesting import BIPARTITE, NestOrder, hunter_number_via_nesting, weightlex_nest_order
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -234,8 +236,7 @@ def test_strategy_emits_published_q4_rounds(tmp_path, capsys):
     graph_path = tmp_path / "q4.graph"
     strat_path = tmp_path / "q4.strategy"
     run_cli(capsys, "gen", "hypercube", "4", "-o", str(graph_path))
-    code, report = run_json(capsys, "strategy", str(graph_path),
-                            "--order", "weightlex", "--out", str(strat_path))
+    code, report = run_json(capsys, "strategy", str(graph_path), "--out", str(strat_path))
     assert code == 0
     results = report["results"]
     assert results["hunters"] == 5
@@ -253,7 +254,7 @@ def test_strategy_emits_published_q4_rounds(tmp_path, capsys):
 def test_strategy_default_hunters_q3(tmp_path, capsys):
     graph_path = tmp_path / "q3.graph"
     run_cli(capsys, "gen", "hypercube", "3", "-o", str(graph_path))
-    code, report = run_json(capsys, "strategy", str(graph_path), "--order", "weightlex")
+    code, report = run_json(capsys, "strategy", str(graph_path))
     assert code == 0
     assert report["results"]["hunters"] == 3
     assert report["results"]["verified"] is True
@@ -262,19 +263,32 @@ def test_strategy_default_hunters_q3(tmp_path, capsys):
 def test_strategy_grid_with_extension(tmp_path, capsys):
     graph_path = tmp_path / "g23.graph"
     run_cli(capsys, "gen", "grid", "2", "3", "-o", str(graph_path))
-    code, report = run_json(capsys, "strategy", str(graph_path),
-                            "--order", "grid", "--dims", "2", "3", "--extend-parity")
+    code, report = run_json(capsys, "strategy", str(graph_path), "--extend-parity")
     assert code == 0
     assert report["results"]["hunters"] == 2
     assert report["results"]["verified"] is True
     assert report["results"]["verified_start"] == "any"
 
 
-def test_strategy_grid_requires_dims(tmp_path, capsys):
-    graph_path = tmp_path / "g23.graph"
-    run_cli(capsys, "gen", "grid", "2", "3", "-o", str(graph_path))
-    code, _, err = run_cli(capsys, "strategy", str(graph_path), "--order", "grid")
-    assert code == 2 and "--dims" in err
+def test_strategy_reads_an_order_named_like_a_family_as_a_file(tmp_path, capsys, monkeypatch):
+    from huntrab.nesting import grid_nest_order, write_nest_order
+
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "gen", "grid", "2", "3", "-o", "g23.graph")
+    write_nest_order(grid_nest_order(2, 3), "grid")
+    code, report = run_json(capsys, "strategy", "g23.graph", "--order", "grid")
+    assert code == 0 and report["results"]["hunters"] == 2
+    code, _, err = run_cli(capsys, "strategy", "g23.graph", "--order", "weightlex")
+    assert code == 2 and "weightlex" in err
+
+
+def test_strategy_rejects_a_negative_vertex_in_an_order_file(tmp_path, capsys):
+    graph_path, order_path = tmp_path / "q3.graph", tmp_path / "q3.order"
+    run_cli(capsys, "gen", "hypercube", "3", "-o", str(graph_path))
+    order_path.write_text("kind bipartite\n0 3 5 -6\n1 2 4 7\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "strategy", str(graph_path), "--order", str(order_path))
+    assert code == 2 and out == ""
+    assert "line 2" in err and "non-negative" in err
 
 
 def test_strategy_deaf_full_order(tmp_path, capsys):
@@ -297,7 +311,7 @@ def test_strategy_with_given_hunters_enumerates_nothing(tmp_path, capsys, monkey
     monkeypatch.setattr(solver.Meter, "spend", no_work)
     graph_path = tmp_path / "q6.graph"
     run_cli(capsys, "gen", "hypercube", "6", "-o", str(graph_path))
-    code, report = run_json(capsys, "strategy", str(graph_path), "--order", "weightlex",
+    code, report = run_json(capsys, "strategy", str(graph_path),
                             "--hunters", "14", "--extend-parity")
     assert code == 0
     assert report["results"]["verified"] is True
@@ -332,11 +346,16 @@ def test_strategy_kind_variant_pairing(tmp_path, capsys):
          "the deaf variant does not take a bipartite-kind order"),
         (["--deaf", "--order", str(bipartite_path), "--hunters", "3"],
          "the deaf variant does not take a bipartite-kind order"),
-        (["--deaf", "--dims", "2", "4"], "the deaf variant does not take a bipartite-kind order"),
     ]:
         code, out, err = run_cli(capsys, "strategy", str(graph_path), *flags)
         assert code == 2 and out == "", flags
         assert message in err, flags
+    # a grid's built-in order is bipartite, so the deaf game has none
+    grid_path = tmp_path / "g24.graph"
+    run_cli(capsys, "gen", "grid", "2", "4", "-o", str(grid_path))
+    code, out, err = run_cli(capsys, "strategy", str(grid_path), "--deaf")
+    assert code == 2 and out == ""
+    assert "--order FILE" in err
 
 
 @pytest.mark.parametrize("flags", [[], ["--deaf"]], ids=["standard", "deaf"])
@@ -522,8 +541,7 @@ PARSE_CASES = [
     ["solve", "g"],
     ["bounds", "g", "--deaf", "--budget", "9"],
     ["--json", "bounds", "g"],
-    ["strategy", "g", "--order", "grid", "--dims", "2", "3", "--hunters", "2", "--deaf",
-     "--extend-parity", "--out", "s"],
+    ["strategy", "g", "--order", "o", "--hunters", "2", "--deaf", "--extend-parity", "--out", "s"],
     ["strategy", "g"],
     ["verify", "g", "s", "--start", "odd"],
     ["verify", "g", "s"],
@@ -539,6 +557,24 @@ def test_parse_cases_cover_every_command_and_flag():
         for flags in arguments:
             assert not flags.startswith("-") or set(flags.split()) <= used, flags
     assert "--json" in used
+
+
+def test_readme_synopsis_names_exactly_the_registered_options():
+    with open(README, encoding="utf-8") as fh:
+        synopsis = fh.read().split("## Command line", 1)[1].split("```")[1]
+    named: dict[str, set[str]] = {}
+    for line in synopsis.splitlines():
+        text = line.split("#", 1)[0]
+        if text.startswith("huntrab "):
+            command = text.split()[1]
+        if text.strip():
+            named.setdefault(command, set()).update(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text))
+    assert set(named) == set(cli.COMMANDS)
+    for name, (_func, _help, arguments) in cli.COMMANDS.items():
+        options = [set(flags.split()) for flags in arguments if flags.startswith("-")]
+        # one spelling of an option is enough: -o covers -o --out
+        assert all(spellings & named[name] for spellings in options), name
+        assert named[name] <= set().union(*options), name
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)

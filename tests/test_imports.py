@@ -1,6 +1,7 @@
-"""Every name a module imports is used in that module, and every public
-name of the package, down to the methods and properties of its classes, is
-used by a route: the package itself, the scripts or the benchmark."""
+"""Every name a module imports is used in that module, every public name
+of the package, down to the methods and properties of its classes, is used
+by a route: the package itself, the scripts or the benchmark, and no assert
+statement guards the package."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,10 @@ def test_every_public_name_is_used_outside_the_tests():
     unused = sorted(f"{path.stem}.{qualified}" for path in MODULES
                     for qualified, name in public_names(parse(path)).items() if name not in used)
     assert not unused, f"only the tests use {unused}; move them into tests/conftest.py"
+
+
+def test_no_assert_guards_the_package():
+    # python -O strips assert statements; a check that guards an answer raises
+    found = sorted(f"{path.name}:{node.lineno}" for path in MODULES + [PACKAGE / "__init__.py"]
+                   for node in ast.walk(parse(path)) if isinstance(node, ast.Assert))
+    assert not found, f"assert statements in the package: {found}"

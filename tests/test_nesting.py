@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import lex_key, weightlex_key
-from huntrab.dynamics import STANDARD, Caught, extend_parity, moves, run, step, verify
+from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, moves, run, step, verify
 from huntrab.errors import (
     BudgetExceededError,
     FormatError,
@@ -14,6 +14,7 @@ from huntrab.graphs import (
     bipartition,
     bits,
     cycle_graph,
+    graph_from_edges,
     grid_graph,
     hypercube_graph,
     mask_of,
@@ -25,7 +26,7 @@ from huntrab.nesting import (
     BIPARTITE,
     FULL,
     NestOrder,
-    check_closed_nesting,
+    builtin_order,
     check_isoperimetric_nesting,
     format_nest_order,
     grid_key,
@@ -133,6 +134,22 @@ def test_nest_order_constructor_validation():
         NestOrder("diagonal", order_all=(0,))
 
 
+def test_builtin_order_recognises_the_family_by_graph_equality():
+    for n in range(7):
+        g = hypercube_graph(n)
+        assert builtin_order(g, STANDARD) == weightlex_nest_order(g), n
+        assert builtin_order(g, DEAF) == weightlex_full_order(g), n
+    for m, n in [(2, 2), (2, 3), (3, 2), (4, 4), (5, 7), (1, 7), (7, 1)]:
+        g = grid_graph(m, n)
+        assert builtin_order(g, STANDARD) == grid_nest_order(m, n), (m, n)
+        assert builtin_order(g, DEAF) is None, (m, n)
+    assert builtin_order(path_graph(7), STANDARD) == grid_nest_order(1, 7)
+    unlabelled = graph_from_edges(8, list(hypercube_graph(3).edges()))
+    # star 3 has the edge count of path 4, so a candidate grid is built and refused
+    for g in (unlabelled, cycle_graph(6), star_graph(3), graph_from_edges(0, [])):
+        assert builtin_order(g, STANDARD) is None and builtin_order(g, DEAF) is None
+
+
 # ---------------------------------------------------------------------------
 # Nesting checks
 
@@ -177,12 +194,12 @@ def test_nesting_check_rejects_foreign_order():
 
 def test_closed_nesting():
     q3 = hypercube_graph(3)
-    assert check_closed_nesting(q3, weightlex_full_order(q3)).ok
-    report = check_closed_nesting(cycle_graph(4), NestOrder(FULL, order_all=(0, 1, 2, 3)))
+    assert check_isoperimetric_nesting(q3, weightlex_full_order(q3)).ok
+    report = check_isoperimetric_nesting(cycle_graph(4), NestOrder(FULL, order_all=(0, 1, 2, 3)))
     assert not report.ok
     assert any("initial segment" in reason for _, _, reason in report.violations)
     # a path ordered along itself nests in the closed sense
-    assert check_closed_nesting(path_graph(3), NestOrder(FULL, order_all=(0, 1, 2))).ok
+    assert check_isoperimetric_nesting(path_graph(3), NestOrder(FULL, order_all=(0, 1, 2))).ok
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +374,10 @@ def test_even_and_odd_profiles_agree_on_cubes():
 def test_nest_order_round_trip():
     for order in (weightlex_nest_order(hypercube_graph(3)),
                   grid_nest_order(2, 3),
-                  weightlex_full_order(hypercube_graph(2))):
+                  weightlex_full_order(hypercube_graph(2)),
+                  weightlex_nest_order(hypercube_graph(0)),
+                  NestOrder(BIPARTITE, (), ()),
+                  NestOrder(FULL, order_all=())):
         text = format_nest_order(order)
         assert parse_nest_order(text) == order
         assert format_nest_order(parse_nest_order(text)) == text
@@ -375,3 +395,8 @@ def test_nest_order_parse_errors():
     assert exc.value.line == 2
     with pytest.raises(FormatError):
         parse_nest_order("kind mystery\n0\n")
+    with pytest.raises(FormatError) as exc:
+        parse_nest_order("kind bipartite\n0 3 5 -6\n1 2 4 7\n")
+    assert exc.value.line == 2
+    with pytest.raises(FormatError):
+        parse_nest_order("kindly bipartite\n0 3 5 6\n1 2 4 7\n")
