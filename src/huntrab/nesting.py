@@ -52,6 +52,8 @@ class NestOrder:
         for seq in (self.order_even, self.order_odd, self.order_all):
             if seq is not None and len(set(seq)) != len(seq):
                 raise InvalidParameterError("order repeats a vertex")
+            if seq is not None and any(v < 0 for v in seq):
+                raise InvalidParameterError("order has a negative vertex index")
 
     @property
     def next_side(self) -> dict[str, str]:

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .dynamics import STANDARD, Strategy, extend_parity, moves
 from .errors import BudgetExceededError, InvalidParameterError
@@ -34,13 +34,19 @@ from .graphs import (
     side_mask,
 )
 
+if TYPE_CHECKING:
+    from .symmetry import Group
+
 # Work units: one per candidate a node of the union branch and bound scans,
 # one per kept set (successor candidate) of each state the search expands.
 # The kept-set count depends only on |R| and k, so it is charged before the
 # work and does not change with how successors are built; a unit per
 # half-table entry and joined candidate would charge 2.7 times as much on
-# small graphs.  Searched from one part, grid 5x5 solves in 42,929 units, Q5
-# in 2,098,170 and grid 6x6 in 2,664,140.
+# small graphs.  Searched from one part, grid 5x5 solves in 42,929 units.
+# The search expands one state per orbit of the graph's automorphisms once
+# a start's expansion costs more than n^2 units, and explored_states counts
+# those orbit representatives: Q5 then solves in 170,970 units, grid 6x6 in
+# 515,723, grid 7x7 in 14,504,408 and grid 5x5 deaf in 79,499,569.
 DEFAULT_BUDGET = 10**8
 
 CLEARED = "cleared"
@@ -189,14 +195,31 @@ def _admit(minimal: list[int], state: int) -> None:
     minimal.append(state)
 
 
-def _witness(parents: dict[int, tuple[int, int]], state: int) -> tuple[int, ...]:
-    shots: list[int] = []
+def _witness(parents: dict[int, tuple[int, int, int]], state: int, last: int,
+             group: Group | None) -> tuple[int, ...]:
+    """The shots from the start to state, then last, each played in the
+    frame of the start.  A stored state is the image sigma(raw) of the raw
+    successor its shot produced; with tau_0 = id, the state reached after i
+    shots is tau_i of the stored one, so shot i + 1 is played as
+    tau_i(shot) and tau_(i+1) = tau_i o sigma^-1."""
+    path = [(last, 0, 0)]  # (shot, raw, stored state), the last shot first
     while True:
-        prev, shot = parents[state]
+        prev, shot, raw = parents[state]
         if prev < 0:
-            return tuple(reversed(shots))
-        shots.append(shot)
+            break
+        path.append((shot, raw, state))
         state = prev
+    shots: list[int] = []
+    tau: list[int] | None = None
+    for shot, raw, state in reversed(path):
+        shots.append(shot if tau is None else mask_of(tau[v] for v in bits(shot)))
+        if raw != state:
+            sigma = group.carrier(raw, state)
+            frame = [0] * len(sigma)
+            for v, image in enumerate(sigma):
+                frame[image] = v if tau is None else tau[v]
+            tau = frame
+    return tuple(shots)
 
 
 def _half_table(adj: tuple[int, ...], half: list[int], lo: int, hi: int) -> dict[tuple[int, int], int]:
@@ -251,7 +274,8 @@ def _successors(adj: tuple[int, ...], state: int, k: int, seen: set[int]) -> Ite
 
 
 def can_clear(g: Graph, k: int, variant: str = STANDARD,
-              budget: int | Meter = DEFAULT_BUDGET, start: int | None = None) -> ClearResult:
+              budget: int | Meter = DEFAULT_BUDGET, start: int | None = None,
+              group: Group | None = None) -> ClearResult:
     """Decide whether k hunters can clear g from the start set (default V(G)),
     with a shot-sequence witness.
 
@@ -269,6 +293,14 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     successors and their shots come as enumerating the kept sets
     lexicographically first reaches them.  Deterministic: FIFO expansion.
     Expanding state R is charged C(|R|, k) units, one per kept set.
+
+    With a group of g's automorphisms that lists more than the identity,
+    each fresh successor is replaced by its canonical form, the least image
+    under the listed elements, and one already seen is skipped: an image
+    clears in as many rounds, so the search stores and expands one state per
+    orbit, explored counts orbit representatives, and the answer and the
+    witness length stay those of the plain search.  The start is stored as
+    given, its canonical form marked seen.
     """
     if k < 1:
         raise InvalidParameterError("hunter count must be at least 1")
@@ -280,8 +312,11 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     meter = as_meter(budget)
     if start == 0:
         return ClearResult(CLEARED, (), 0)
-    parents: dict[int, tuple[int, int]] = {start: (-1, 0)}
+    canonical = group.canonical if group is not None and len(group.elements) > 1 else None
+    parents: dict[int, tuple[int, int, int]] = {start: (-1, 0, start)}
     seen = {start}
+    if canonical is not None:
+        seen.add(canonical(start))
     minimal: list[int] = [start]
     queue: deque[int] = deque([start])
     explored = 0
@@ -290,14 +325,21 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
         explored += 1
         size = state.bit_count()
         if size <= k:
-            return ClearResult(CLEARED, _witness(parents, state) + (state,), explored)
+            return ClearResult(CLEARED, _witness(parents, state, state, group), explored)
         meter.spend(comb(size, k), "search")
-        for nxt, shot in _successors(adj, state, k, seen):
-            if nxt == 0:
-                return ClearResult(CLEARED, _witness(parents, state) + (shot,), explored)
+        for raw, shot in _successors(adj, state, k, seen):
+            if raw == 0:
+                return ClearResult(CLEARED, _witness(parents, state, shot, group), explored)
+            nxt = raw
+            if canonical is not None:
+                nxt = canonical(raw)
+                if nxt != raw:
+                    if nxt in seen:
+                        continue  # its orbit was generated before
+                    seen.add(nxt)
             if _dominated(minimal, nxt):
                 continue
-            parents[nxt] = (state, shot)
+            parents[nxt] = (state, shot, raw)
             _admit(minimal, nxt)
             queue.append(nxt)
     return ClearResult(BLOCKED, None, explored)
@@ -309,6 +351,7 @@ class SolveResult:
     witness: Strategy
     explored_states: int
     lower_bound_used: int
+    group_order: int = 1
 
 
 def hunter_number(g: Graph, variant: str = STANDARD,
@@ -330,12 +373,25 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     so extend_parity plays W_e again, after an empty shot when len(W_e) is
     even.  Every other component searches from V.
 
+    A component's automorphism group is found once, when the start's first
+    expansion charge C(|start|, k) first exceeds n^2 for its n vertices,
+    and every later search of the component keeps one state per orbit; a
+    search cheaper than that costs less than finding the group (Q4's 384
+    elements take about as long as its whole standard search).  An
+    automorphism that swaps the parts maps an even-start state onto an
+    odd-start one, which needs as many rounds, and the witness the search
+    rebuilds shoots, like the plain one, only inside the position set.
+    explored_states then counts orbit representatives, and group_order is
+    the largest number of elements a component's search listed (1 for a
+    plain search).
+
     One budget covers the bounds and the searches of every component; when
     it runs out, the error carries the best hunter count proved so far,
     which counts every finished prefix of a union profile.
     """
     meter = as_meter(budget)
     answer = bound_used = explored_total = 0
+    group_order = 1
     all_shots: list[int] = []
     for comp in components(g):
         sub, old = induced_subgraph(g, comp)
@@ -344,10 +400,18 @@ def hunter_number(g: Graph, variant: str = STANDARD,
         k = max(k, lower_bound_union(sub, variant, meter))
         parts = bipartition(sub) if variant == STANDARD and sub.n > 1 else None
         start = None if parts is None else parts.even
+        start_size = sub.n if start is None else start.bit_count()
         bound_used = max(bound_used, k)
+        group = None
         while True:
             meter.lower_bound = max(meter.lower_bound, k)
-            result = can_clear(sub, k, variant, meter, start)
+            if group is None and comb(start_size, k) > sub.n ** 2:
+                # imported here, so a call that needs no group never loads it
+                from .symmetry import automorphism_group
+
+                group = automorphism_group(sub)
+                group_order = max(group_order, len(group.elements))
+            result = can_clear(sub, k, variant, meter, start, group)
             explored_total += result.explored
             if result.shots is not None:
                 break
@@ -355,4 +419,5 @@ def hunter_number(g: Graph, variant: str = STANDARD,
         shots = result.shots if parts is None else extend_parity(sub, Strategy(result.shots)).shots
         all_shots.extend(mask_of(old[v] for v in bits(shot)) for shot in shots)
         answer = max(answer, k)
-    return SolveResult(answer, Strategy(tuple(all_shots), variant), explored_total, bound_used)
+    return SolveResult(answer, Strategy(tuple(all_shots), variant), explored_total, bound_used,
+                       group_order)

@@ -132,6 +132,12 @@ def test_nest_order_constructor_validation():
         NestOrder(FULL, order_all=(0, 0))
     with pytest.raises(InvalidParameterError):
         NestOrder("diagonal", order_all=(0,))
+    # a negative index once reached the nesting check and the strategy as
+    # an uncaught ValueError from a negative shift
+    with pytest.raises(InvalidParameterError, match="negative"):
+        NestOrder(BIPARTITE, (0, 3, 5, -6), (1, 2, 4, 7))
+    with pytest.raises(InvalidParameterError, match="negative"):
+        NestOrder(FULL, order_all=(0, -1))
 
 
 def test_builtin_order_recognises_the_family_by_graph_equality():
