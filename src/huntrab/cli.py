@@ -47,6 +47,8 @@ FAMILIES = {
 
 
 def _digest(path: str) -> dict:
+    """The file's sha256, taken as a command reads the file, before the work,
+    so a file rewritten meanwhile cannot put its hash next to the answer."""
     with open(path, "rb") as fh:
         return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
@@ -97,6 +99,7 @@ def _cmd_gen(args) -> tuple[dict | None, int]:
 
 
 def _cmd_solve(args) -> tuple[dict | None, int]:
+    digest = _digest(args.graph)
     g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     result = solver.hunter_number(g, variant, args.budget)
@@ -117,10 +120,11 @@ def _cmd_solve(args) -> tuple[dict | None, int]:
     if args.strategy_out:
         dynamics.write_strategy(result.witness, args.strategy_out)
         results["strategy_out"] = args.strategy_out
-    return {"inputs": {"graph": _digest(args.graph)}, "results": results, "warnings": []}, 0
+    return {"inputs": {"graph": digest}, "results": results, "warnings": []}, 0
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
+    digest = _digest(args.graph)
     g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     degeneracy = graphs.degeneracy(g)
@@ -132,10 +136,11 @@ def _cmd_bounds(args) -> tuple[dict, int]:
     # Q^n, n >= 1, projects onto its weight path with the weight layers as fibers
     if not args.deaf and (dim := graphs.cube_dim(g)):
         results["hypercube_upper"] = cube_mod.cube_hunter_upper(dim)
-    return {"inputs": {"graph": _digest(args.graph)}, "results": results, "warnings": []}, 0
+    return {"inputs": {"graph": digest}, "results": results, "warnings": []}, 0
 
 
 def _cmd_strategy(args) -> tuple[dict, int]:
+    digest = _digest(args.graph)
     g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     order = nesting.read_nest_order(args.order) if args.order else nesting.builtin_order(g, variant)
@@ -163,8 +168,9 @@ def _cmd_strategy(args) -> tuple[dict, int]:
     if args.deaf or args.extend_parity:
         start = "any"
     else:
-        first = next(s for s in strategy.shots if s)
-        start = "even" if first & graphs.side_mask(g, "even") else "odd"
+        # a strategy with no shot, as on the empty graph, catches from any start
+        first = next((s for s in strategy.shots if s), None)
+        start = "odd" if first is not None and not first & graphs.side_mask(g, "even") else "even"
     outcome = dynamics.verify(g, strategy, start)
     results["verified_start"] = start
     results["verified"] = isinstance(outcome, dynamics.Caught)
@@ -173,7 +179,7 @@ def _cmd_strategy(args) -> tuple[dict, int]:
     if args.out:
         dynamics.write_strategy(strategy, args.out)
         results["out"] = args.out
-    return {"inputs": {"graph": _digest(args.graph)}, "results": results, "warnings": []}, 0
+    return {"inputs": {"graph": digest}, "results": results, "warnings": []}, 0
 
 
 def _cmd_verify(args) -> tuple[dict, int]:

@@ -351,6 +351,7 @@ class SolveResult:
     witness: Strategy
     explored_states: int
     lower_bound_used: int
+    # the order of the subgroup of automorphisms the search listed
     group_order: int = 1
 
 
@@ -382,8 +383,9 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     odd-start one, which needs as many rounds, and the witness the search
     rebuilds shoots, like the plain one, only inside the position set.
     explored_states then counts orbit representatives, and group_order is
-    the largest number of elements a component's search listed (1 for a
-    plain search).
+    the order of the subgroup the search listed, the largest over the
+    components (1 for a plain search); automorphism_group lists only the
+    deepest levels of its stabiliser chain, so this is no full group order.
 
     One budget covers the bounds and the searches of every component; when
     it runs out, the error carries the best hunter count proved so far,

@@ -14,8 +14,10 @@ refinement splits as the first path did, down to a leaf; the map from the
 first leaf to that leaf is kept when it preserves every adjacency.  Levels
 are done deepest first, so the automorphisms already found fix the earlier
 base points and give the orbit of b_i, with one transversal element per
-orbit point, without a search.  The group is the product of the
-transversals of this stabiliser chain.
+orbit point, without a search.  The listed subgroup is the product of the
+transversals of the deepest levels of this stabiliser chain: the walk up
+the chain stops at the first level whose searches run out of refinements
+or whose transversal would overflow the image tables.
 
 A position set and its image under an automorphism need the same number of
 rounds to clear, so the search keeps one set per orbit: the least of its
@@ -27,13 +29,12 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from math import prod
 
 from .graphs import Graph, bits, iter_bits
 
-# Bytes the per-byte image tables of the listed elements may take; the list
-# is the largest subgroup of the stabiliser chain within it, so a star or a
-# complete graph lists a point stabiliser, not every permutation.
+# Bytes the per-byte image tables of the listed elements may take; the walk
+# up the stabiliser chain stops at the first level that would pass it, so a
+# star or a complete graph lists a small stabiliser, not every permutation.
 TABLE_BYTES = 1 << 20
 # (bytes, memoryview format) of the field that holds one image of a state:
 # one machine word at most
@@ -42,9 +43,9 @@ MAX_VERTICES = 8 * _FIELDS[-1][0]
 # Refinements the searches for automorphisms may make in all.  Below a
 # point outside b_i's orbit every branch is followed to its end; on two
 # disjoint strongly regular graphs with the same parameters (Shrikhande and
-# the 4x4 rook's graph) that is 449,280 leaves and nearly a minute, while
-# every family the tests name, stars and complete graphs on up to 64
-# vertices included, takes at most about 2,000.
+# the 4x4 rook's graph) a search at the first level meets 449,280 leaves,
+# nearly a minute, while the walk on every graph the tests name, stars and
+# complete graphs on up to 64 vertices included, makes at most 34.
 MAX_SEARCH_NODES = 4096
 
 Perm = tuple[int, ...]
@@ -97,10 +98,6 @@ def _is_automorphism(adj: tuple[int, ...], perm: list[int]) -> bool:
     return True
 
 
-class _NodeLimit(Exception):
-    """The searches made MAX_SEARCH_NODES refinements."""
-
-
 class _Path:
     """The first path down the individualisation tree: per level, the
     partition before individualising, the target cell's index, the base
@@ -123,14 +120,15 @@ class _Path:
     def search(self, depth: int, cells: list[int], w: int) -> list[int] | None:
         """An automorphism fixing the base points above depth that maps the
         first leaf to a leaf below cells with w individualised, or None.
-        Depth first, smallest vertex first, with an explicit stack."""
+        Depth first, smallest vertex first, with an explicit stack.  None
+        too once nodes passes MAX_SEARCH_NODES, with no refinement made."""
         stack = [(depth, cells, w)]
         while stack:
             depth, cells, w = stack.pop()
             _, t, _, trace = self.levels[depth]
-            if self.nodes == MAX_SEARCH_NODES:
-                raise _NodeLimit
             self.nodes += 1
+            if self.nodes > MAX_SEARCH_NODES:
+                return None
             cells, got = _refine(self.adj, _individualise(cells, t, w), [1 << w])
             if got != trace:
                 continue
@@ -159,30 +157,24 @@ def _orbit(b: int, gens: list[Perm], identity: Perm) -> dict[int, Perm]:
     return transversal
 
 
-class Group:
-    """The automorphisms found for a graph, given as the transversals of a
-    stabiliser chain, deepest level first.  order is the product of their
-    sizes; elements lists the largest subgroup in the chain whose per-byte
-    image tables fit in TABLE_BYTES, identity first."""
+def _field(n: int) -> tuple[int, str]:
+    return next(f for f in _FIELDS if 8 * f[0] >= n)
 
-    def __init__(self, n: int, transversals: list[list[Perm]]):
-        self.order = prod(len(transversal) for transversal in transversals)
-        self.elements = [tuple(range(n))]
-        if self.order == 1:
+
+class Group:
+    """Automorphisms of a graph on n vertices, the identity first, with
+    per-byte image tables of every listed element."""
+
+    def __init__(self, n: int, elements: list[Perm]):
+        self.elements = elements
+        if len(elements) == 1:
             return
-        width, self._code = next(f for f in _FIELDS if 8 * f[0] >= n)
+        width, self._code = _field(n)
         self._nbytes = (n + 7) // 8
-        per_element = self._nbytes * 256 * width
-        for transversal in transversals:
-            if len(self.elements) * len(transversal) * per_element > TABLE_BYTES:
-                break
-            self.elements = [tuple(u[x] for x in e) for u in transversal for e in self.elements]
-        if len(self.elements) == 1:
-            return
-        self._size = len(self.elements) * width
+        self._size = len(elements) * width
         # images[v] holds 1 << e[v] in field i for the i-th element e
         images = [int.from_bytes(b"".join((1 << e[v]).to_bytes(width, sys.byteorder)
-                                          for e in self.elements), sys.byteorder)
+                                          for e in elements), sys.byteorder)
                   for v in range(n)]
         images += [0] * (8 * self._nbytes - n)
         self._tables = []
@@ -209,30 +201,33 @@ class Group:
 
 
 def automorphism_group(g: Graph) -> Group:
-    """The automorphism group of g, from a stabiliser chain along the first
-    path of colour refinement plus individualisation; every element found is
-    checked against the adjacency before it is kept.  When the searches
-    reach MAX_SEARCH_NODES refinements, the group is the pointwise
-    stabiliser of the base points down to the level left unfinished.  A
-    graph on more than MAX_VERTICES vertices gets the identity alone,
-    unsearched, since its states fit no image field."""
-    if g.n > MAX_VERTICES:
-        return Group(g.n, [])
+    """A subgroup of g's automorphisms, from a stabiliser chain along the
+    first path of colour refinement plus individualisation; every element
+    found is checked against the adjacency before it is kept.  The walk goes
+    up the chain, deepest level first, and ends at the first level whose
+    searches would pass MAX_SEARCH_NODES refinements or whose transversal
+    would take the image tables past TABLE_BYTES; the group lists the
+    pointwise stabiliser of the base points down to that level, as the
+    products u∘e of each transversal element u with each element e listed
+    before it.  A graph on more than MAX_VERTICES vertices gets the identity
+    alone, unsearched, since its states fit no image field."""
     identity = tuple(range(g.n))
+    if g.n > MAX_VERTICES:
+        return Group(g.n, [identity])
+    per_element = (g.n + 7) // 8 * 256 * _field(g.n)[0]
     path = _Path(g.adj)
     gens: list[Perm] = []
-    transversals = []
+    elements = [identity]
     for depth in reversed(range(len(path.levels))):
         cells, t, b, _ = path.levels[depth]
         transversal = _orbit(b, gens, identity)
-        try:
-            for w in iter_bits(cells[t]):
-                if w not in transversal:
-                    found = path.search(depth, cells, w)
-                    if found is not None:
-                        gens.append(tuple(found))
-                        transversal = _orbit(b, gens, identity)
-        except _NodeLimit:
+        for w in iter_bits(cells[t]):
+            if w not in transversal:
+                found = path.search(depth, cells, w)
+                if found is not None:
+                    gens.append(tuple(found))
+                    transversal = _orbit(b, gens, identity)
+        if path.nodes > MAX_SEARCH_NODES or len(elements) * len(transversal) * per_element > TABLE_BYTES:
             break  # keep the finished, deeper levels
-        transversals.append(list(transversal.values()))
-    return Group(g.n, transversals)
+        elements = [tuple(u[x] for x in e) for u in transversal.values() for e in elements]
+    return Group(g.n, elements)

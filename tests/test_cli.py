@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -152,6 +153,48 @@ def test_exit_codes_hold_under_python_O(tmp_path, capsys):
 
     assert solve("--budget", "1") == 3
     assert solve() == 0
+
+
+LAZY_IMPORT = """
+import sys
+from huntrab import cli
+
+c5, q5 = sys.argv[1:]
+cli.main(["gen", "cycle", "5", "-o", c5])
+cli.main(["gen", "hypercube", "5", "-o", q5])
+for argv in (["cube", "3", "hun"], ["bounds", c5], ["solve", c5]):
+    cli.main(argv)
+print("huntrab.symmetry" in sys.modules, file=sys.stderr)
+cli.main(["solve", q5])
+print("huntrab.symmetry" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_only_a_solve_that_needs_the_group_imports_symmetry(tmp_path):
+    # compiling the module costs each CLI call about 3 ms of start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", LAZY_IMPORT, str(tmp_path / "c5.graph"), str(tmp_path / "q5.graph")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.split() == ["False", "True"]
+
+
+def test_the_digest_names_the_bytes_that_were_solved(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c5.graph"
+    run_cli(capsys, "gen", "cycle", "5", "-o", str(path))
+    original = hashlib.sha256(path.read_bytes()).hexdigest()
+    hunter_number = solver.hunter_number
+
+    def rewriting(*args):
+        path.write_text(format_graph(graph_from_edges(2, [(0, 1)])))
+        return hunter_number(*args)
+
+    monkeypatch.setattr(solver, "hunter_number", rewriting)
+    code, report = run_json(capsys, "solve", str(path))
+    assert code == 0 and report["results"]["hunter_number"] == 2
+    assert report["inputs"]["graph"]["sha256"] == original
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != original
 
 
 def test_solve_witness_reverifies_end_to_end(tmp_path, capsys):
@@ -365,6 +408,19 @@ def test_strategy_on_the_empty_graph_exit_2(tmp_path, capsys, flags):
     code, out, err = run_cli(capsys, "strategy", str(path), *flags)
     assert code == 2 and out == ""
     assert "hypercube" in err
+
+
+def test_strategy_from_an_order_file_on_the_empty_graph(tmp_path, capsys):
+    graph_path = tmp_path / "empty.graph"
+    order_path = tmp_path / "empty.order"
+    graph_path.write_text("0 0\n", encoding="utf-8")
+    order_path.write_text("kind bipartite\n\n\n", encoding="utf-8")
+    code, report = run_json(capsys, "strategy", str(graph_path), "--order", str(order_path),
+                            "--hunters", "2")
+    assert code == 0
+    results = report["results"]
+    # like solve, which answers 0: no shot, and the rabbit is caught at once
+    assert results["steps"] == 0 and results["verified"] is True and results["caught_at"] == 0
 
 
 def test_routes_agree_on_q0(tmp_path, capsys):

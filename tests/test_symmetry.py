@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from huntrab import symmetry
 from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, run, verify
 from huntrab.graphs import (
     bipartition,
@@ -20,7 +21,7 @@ from huntrab.graphs import (
     star_graph,
 )
 from huntrab.solver import CLEARED, can_clear, hunter_number
-from huntrab.symmetry import _NodeLimit, _Path, automorphism_group
+from huntrab.symmetry import _Path, automorphism_group
 
 
 def relabelled(g, seed):
@@ -77,7 +78,6 @@ def test_group_order_on_any_numbering(g, order):
     for seed in (None, 1, 2):
         h = g if seed is None else relabelled(g, seed)
         group = automorphism_group(h)
-        assert group.order == order
         # small enough to list whole: every element distinct and a real
         # automorphism, the identity first
         assert len(set(group.elements)) == len(group.elements) == order
@@ -85,15 +85,18 @@ def test_group_order_on_any_numbering(g, order):
         assert all(is_automorphism(h, perm) for perm in group.elements)
 
 
-@pytest.mark.parametrize("g, order", [(star_graph(10), factorial(10)), (star_graph(63), factorial(63)),
-                                      (complete_graph(8), factorial(8))], ids=["star10", "star63", "K8"])
-def test_stars_and_complete_graphs_list_a_capped_stabiliser(g, order):
+@pytest.mark.parametrize("g, order, size", [
+    # 6! of the 10! and 4! of the 63!: one more level would overflow the
+    # image tables, 1 MB at 1 KB (star 10) and 16 KB (star 63) per element
+    (star_graph(10), factorial(10), 720), (star_graph(63), factorial(63), 24),
+    (complete_graph(8), factorial(8), 720),
+], ids=["star10", "star63", "K8"])
+def test_stars_and_complete_graphs_list_a_capped_stabiliser(g, order, size):
     started = time.perf_counter()
     group = automorphism_group(relabelled(g, 3))
     assert time.perf_counter() - started < 1
-    assert group.order == order
-    assert 1 < len(group.elements) < order
-    assert order % len(group.elements) == 0
+    assert len(group.elements) == size
+    assert order % size == 0
     # the listed elements form a group: closed under composition
     listed = set(group.elements)
     sample = random.Random(4).sample(group.elements, min(20, len(group.elements)))
@@ -116,28 +119,58 @@ def test_a_leaf_map_that_breaks_an_edge_is_refused():
     path = _Path(g.adj)
     cells, t, b, _ = path.levels[0]
     other = next(w for w in iter_bits(cells[t]) if (w < 16) != (b < 16))
-    try:
-        found = path.search(0, cells, other)
-    except _NodeLimit:
-        found = None
-    assert found is None
+    assert path.search(0, cells, other) is None
 
 
-def test_the_node_limit_keeps_a_stabiliser():
+def refinements(monkeypatch, g) -> int:
+    """The refinements automorphism_group(g) makes in its searches."""
+    paths = []
+    search = _Path.search
+
+    def spy(self, *args):
+        paths.append(self)
+        return search(self, *args)
+
+    monkeypatch.setattr(_Path, "search", spy)
+    automorphism_group(g)
+    monkeypatch.undo()
+    return paths[-1].nodes if paths else 0
+
+
+def test_a_star_searches_only_the_levels_it_lists(monkeypatch):
+    # searching all 62 levels of the chain takes 1,953 refinements
+    assert refinements(monkeypatch, relabelled(star_graph(63), 3)) <= 100
+
+
+def test_the_table_cap_ends_the_walk_below_a_costly_level(monkeypatch):
     # below a point of the other graph every branch runs to a leaf that is
-    # no automorphism, 449,280 leaves without the limit
+    # no automorphism, 449,280 leaves without the node limit; the table cap
+    # ends the walk first, with 192 elements from the levels below
     g = relabelled(shrikhande_and_rook(), 9)
     started = time.perf_counter()
     group = automorphism_group(g)
     assert time.perf_counter() - started < 5
-    assert 1 < group.order < 192 * 1152 and 192 * 1152 % group.order == 0
+    assert len(group.elements) == 192
     assert all(is_automorphism(g, perm) for perm in group.elements)
+    assert refinements(monkeypatch, g) <= 100
+
+
+def test_the_node_limit_keeps_a_stabiliser(monkeypatch):
+    # Q4's walk makes 10 refinements, the last at its shallowest level:
+    # one fewer keeps the finished, deeper levels, listed as before
+    g = relabelled(hypercube_graph(4), 3)
+    whole = automorphism_group(g).elements
+    for limit, listed in ((10, 384), (9, 24)):
+        monkeypatch.setattr(symmetry, "MAX_SEARCH_NODES", limit)
+        assert automorphism_group(g).elements == whole[:listed]
 
 
 def test_more_than_64_vertices_get_the_identity_alone():
     group = automorphism_group(cycle_graph(65))
-    assert group.order == 1 and group.elements == [tuple(range(65))]
-    assert automorphism_group(cycle_graph(64)).order == 128
+    assert group.elements == [tuple(range(65))]
+    # the 128 elements of C64 overflow the image tables at 16 KB each; the
+    # stabiliser of a point is listed
+    assert len(automorphism_group(cycle_graph(64)).elements) == 2
 
 
 def test_canonical_form_is_the_least_image():
