@@ -42,11 +42,13 @@ if TYPE_CHECKING:
 # The kept-set count depends only on |R| and k, so it is charged before the
 # work and does not change with how successors are built; a unit per
 # half-table entry and joined candidate would charge 2.7 times as much on
-# small graphs.  Searched from one part, grid 5x5 solves in 42,929 units.
-# The search expands one state per orbit of the graph's automorphisms once
-# a start's expansion costs more than n^2 units, and explored_states counts
-# those orbit representatives: Q5 then solves in 170,970 units, grid 6x6 in
-# 515,723, grid 7x7 in 14,504,408 and grid 5x5 deaf in 79,499,569.
+# small graphs.  Searched from one part, grid 5x5 solves in 37,449 units,
+# 545 of them for the union bound, which searches each U(j) only until it
+# knows whether j raises the bound.  The search expands one state per orbit
+# of the graph's automorphisms once a start's expansion costs more than n^2
+# units, and explored_states counts those orbit representatives: Q5 then
+# solves in 142,877 units, grid 6x6 in 422,297, grid 7x7 in 11,465,508 and
+# grid 5x5 deaf in 78,074,757.
 DEFAULT_BUDGET = 10**8
 
 CLEARED = "cleared"
@@ -78,13 +80,14 @@ def as_meter(budget: int | Meter) -> Meter:
     return budget if isinstance(budget, Meter) else Meter(budget)
 
 
-def _min_union(contrib: list[int], k: int, floor: int, meter: Meter) -> int:
+def _min_union(contrib: list[int], k: int, stop: int, meter: Meter) -> int:
     """Smallest union of k of the contributions, by a depth-first branch and
     bound over the k-subsets in lexicographic order: a partial union already
     at the best size found so far cuts every subset that extends it, since a
-    union only grows, and a k-union of floor vertices, a known lower bound,
-    ends the search.  A node costs one unit per candidate it scans, charged
-    when the search ends or once the count passes the budget left."""
+    union only grows.  The search ends at the first k-union of stop or fewer
+    vertices and returns its size, so a result above stop is the exact
+    minimum.  A node costs one unit per candidate it scans, charged when the
+    search ends or once the count passes the budget left."""
     n = len(contrib)
     room = meter.limit - meter.spent
     best = sum(c.bit_count() for c in contrib) + 1  # above every union
@@ -92,20 +95,20 @@ def _min_union(contrib: list[int], k: int, floor: int, meter: Meter) -> int:
 
     def extend(first: int, union: int, left: int) -> bool:
         # add one of contrib[first:] to the partial union, leaving room for
-        # the left - 1 members still to come; True once best reaches floor
+        # the left - 1 members still to come; True once best reaches stop
         nonlocal best, units
-        stop = n - left + 1
-        units += stop - first
+        end = n - left + 1
+        units += end - first
         if units > room:
             meter.spend(units, "bound")  # raises
-        for i in range(first, stop):
+        for i in range(first, end):
             grown = union | contrib[i]
             size = grown.bit_count()
             if size >= best:
                 continue
             if left == 1:
                 best = size
-                if size <= floor:
+                if size <= stop:
                     return True
             elif extend(i + 1, grown, left - 1):
                 return True
@@ -114,6 +117,12 @@ def _min_union(contrib: list[int], k: int, floor: int, meter: Meter) -> int:
     extend(0, 0, k)
     meter.spend(units, "bound")
     return best
+
+
+def _contributions(g: Graph, side: str, variant: str) -> list[int]:
+    """The moves of the side's vertices, in vertex order."""
+    nbrs = moves(g, variant)
+    return [nbrs[v] for v in bits(side_mask(g, side))]
 
 
 def union_profile(g: Graph, side: str = "all", variant: str = STANDARD,
@@ -127,8 +136,7 @@ def union_profile(g: Graph, side: str = "all", variant: str = STANDARD,
     U(k-1) vertices.
     """
     meter = as_meter(budget)
-    nbrs = moves(g, variant)
-    contrib = [nbrs[v] for v in bits(side_mask(g, side))]
+    contrib = _contributions(g, side, variant)
     floor = 0
     for k in range(1, len(contrib) + 1):
         floor = _min_union(contrib, k, floor, meter)
@@ -160,15 +168,25 @@ def lower_bound_union(g: Graph, variant: str = STANDARD,
     rabbit started on the even part of a bipartite graph alternates parts,
     so both parts' minima at j must reach j + h (the start, the even part,
     holds U_odd(j) or more).  The per-part rule surplus(side) + 1 is not a
-    bound: 2 on P3's odd part, which one hunter clears.  The profiles are
-    read in lockstep, raising meter.lower_bound after every j, so a budget
-    exit reports the bound of the finished prefix."""
+    bound: 2 on P3's odd part, which one hunter clears.
+
+    A j raises the bound only if every side's U(j) reaches bound + j, so
+    each side's search at j stops at the first j-union of bound + j - 1 or
+    fewer vertices, and once one side stops there the other side is not
+    searched: that j cannot raise the bound.  A search that runs to its end
+    finds the exact U(j).  Each j is decided in turn, raising
+    meter.lower_bound, so a budget exit reports the bound of the decided
+    prefix."""
     meter = as_meter(budget)
     paired = variant == STANDARD and bipartition(g) is not None
+    sides = [_contributions(g, side, variant) for side in (("even", "odd") if paired else ("all",))]
     bound = 0
-    profiles = zip(*(union_profile(g, side, variant, meter)
-                     for side in (("even", "odd") if paired else ("all",))))
-    for j, unions in enumerate(profiles, start=1):
+    for j in range(1, min(map(len, sides)) + 1):
+        unions = []
+        for contrib in sides:
+            unions.append(_min_union(contrib, j, bound + j - 1, meter))
+            if unions[-1] < bound + j:
+                break  # j cannot raise the bound
         bound = max(bound, min(unions) - j + 1)
         meter.lower_bound = max(meter.lower_bound, bound)
     return bound
@@ -389,7 +407,8 @@ def hunter_number(g: Graph, variant: str = STANDARD,
 
     One budget covers the bounds and the searches of every component; when
     it runs out, the error carries the best hunter count proved so far,
-    which counts every finished prefix of a union profile.
+    which counts the union bound of every decided prefix of j.  Finding
+    the group charges nothing: MAX_SEARCH_NODES bounds that search instead.
     """
     meter = as_meter(budget)
     answer = bound_used = explored_total = 0

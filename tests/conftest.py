@@ -16,8 +16,9 @@ from typing import Iterable, Iterator
 from huntrab.cube import comb0
 from huntrab.dynamics import STANDARD, Strategy
 from huntrab.errors import InvalidParameterError
-from huntrab.graphs import Graph, graph_from_edges, mask_of
+from huntrab.graphs import Graph, bipartition, graph_from_edges, mask_of
 from huntrab.nesting import iter_weightlex
+from huntrab.solver import Meter, union_profile
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -42,6 +43,19 @@ def brute_min_union(g: Graph, k: int, side_vertices: list[int], closed: bool = F
             best = len(union)
     assert best is not None
     return best
+
+
+def profile_bound(g: Graph, variant: str = STANDARD) -> tuple[int, int]:
+    """Reference union bound and the units it spends: every U_side(j) proved
+    exact, the sides' whole union profiles read in lockstep, and the max over
+    j of min over the sides of U_side(j) - j + 1."""
+    meter = Meter()
+    sides = ("even", "odd") if variant == STANDARD and bipartition(g) is not None else ("all",)
+    bound = 0
+    profiles = zip(*(union_profile(g, side, variant, meter) for side in sides))
+    for j, unions in enumerate(profiles, start=1):
+        bound = max(bound, min(unions) - j + 1)
+    return bound, meter.spent
 
 
 def iter_arrow(n: int, i: int) -> Iterator[int]:

@@ -112,11 +112,11 @@ def test_small_budget_exits_quickly_with_phase_and_bound(tmp_path, capsys, famil
     path = tmp_path / "g.graph"
     run_cli(capsys, "gen", family, *params, "-o", str(path))
     started = time.perf_counter()
-    code, out, err = run_cli(capsys, "solve", str(path), "--budget", "1000")
+    code, out, err = run_cli(capsys, "solve", str(path), "--budget", "500")
     assert time.perf_counter() - started < 1
     assert code == 3 and out == ""
     assert "bound phase" in err
-    assert f"best lower bound {best}" in err  # the paired bound's finished prefix
+    assert f"best lower bound {best}" in err  # the paired bound's decided prefix
 
 
 @pytest.mark.parametrize("command", ["solve", "bounds"])
@@ -134,11 +134,31 @@ def test_bounds_budget_exit_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "10")
     assert code == 3 and out == ""
     assert "bound phase" in err and "best lower bound 2" in err
-    # the two part profiles take 509 units, and their first few j prove 3
-    code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "508")
+    # the paired bound takes 170 units, and its first few j prove 3
+    code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "169")
     assert code == 3 and "best lower bound 3" in err
-    code, report = run_json(capsys, "bounds", str(path), "--budget", "509")
+    code, report = run_json(capsys, "bounds", str(path), "--budget", "170")
     assert code == 0 and report["results"]["union_bound"] == 3
+
+
+def test_bounds_answers_on_q6(tmp_path, capsys):
+    # each j is searched only until it is known whether it raises the bound:
+    # 1,313,889 units, where proving Q6's whole part profiles takes 88.3M
+    path = tmp_path / "q6.graph"
+    run_cli(capsys, "gen", "hypercube", "6", "-o", str(path))
+    code, report = run_json(capsys, "bounds", str(path), "--budget", "2000000")
+    assert code == 0
+    assert (report["results"]["union_bound"], report["results"]["hypercube_upper"]) == (14, 20)
+
+
+def test_deaf_solve_of_q5_passes_the_bound_phase(tmp_path, capsys):
+    # the closed bound of Q5 costs 661,987 units, and the search's first
+    # expansion is charged past the budget left
+    path = tmp_path / "q5.graph"
+    run_cli(capsys, "gen", "hypercube", "5", "-o", str(path))
+    code, out, err = run_cli(capsys, "solve", str(path), "--deaf", "--budget", "1000000")
+    assert code == 3 and out == ""
+    assert "search phase" in err and "best lower bound 14" in err
 
 
 def test_exit_codes_hold_under_python_O(tmp_path, capsys):
@@ -237,12 +257,8 @@ def test_bounds_q3_deaf(tmp_path, capsys):
     assert report["results"]["mode"] == "closed"
 
 
-def test_bounds_hypercube_upper_is_the_largest_weight_layer(tmp_path, capsys, monkeypatch):
-    # the union bound of Q6 takes about half a minute, and the upper bound
-    # does not depend on it
+def test_bounds_hypercube_upper_is_the_largest_weight_layer(tmp_path, capsys):
     for n in range(1, 7):
-        if n == 6:
-            monkeypatch.setattr(solver, "lower_bound_union", lambda *args: 0)
         path = tmp_path / f"q{n}.graph"
         run_cli(capsys, "gen", "hypercube", str(n), "-o", str(path))
         code, report = run_json(capsys, "bounds", str(path))

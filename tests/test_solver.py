@@ -8,6 +8,7 @@ from conftest import (
     cube_deaf_closed_profile,
     naive_can_clear,
     naive_successors,
+    profile_bound,
     random_graph,
     random_mask,
 )
@@ -24,6 +25,7 @@ from huntrab.graphs import (
     grid_graph,
     hypercube_graph,
     path_graph,
+    side_mask,
     star_graph,
 )
 from huntrab.solver import (
@@ -118,17 +120,57 @@ def test_union_bound_on_random_bipartite_graphs():
                 assert result.lower_bound_used == max(1, degeneracy(g), bound), list(g.edges())
 
 
+def test_union_bound_matches_the_whole_profile_oracle():
+    # deciding each j against the bound so far gives the bound of the whole
+    # profiles read in lockstep
+    rng = random.Random(1212)
+    graphs = [graph_from_edges(0, []), graph_from_edges(1, [])]
+    for trial in range(300):
+        g = _random_bipartite_graph(rng, 14)
+        if trial % 3 == 0:
+            g = graph_from_edges(g.n + rng.randrange(1, 3), list(g.edges()))  # isolated vertices
+        graphs.append(g)
+    graphs += [random_graph(rng, 12, rng.choice([None, 0.3, 0.6])) for _ in range(300)]
+    assert any(bipartition(g) is None for g in graphs)
+    for g in graphs:
+        for variant in (STANDARD, DEAF):
+            assert lower_bound_union(g, variant) == profile_bound(g, variant)[0], \
+                (list(g.edges()), variant)
+
+
+@pytest.mark.parametrize("g, variant", [(hypercube_graph(5), STANDARD),
+                                        (hypercube_graph(4), DEAF),
+                                        (grid_graph(4, 4), STANDARD),
+                                        (grid_graph(3, 7), DEAF),
+                                        (grid_graph(4, 5), DEAF)])
+def test_union_bound_spends_no_more_than_the_whole_profiles(g, variant):
+    meter = Meter()
+    bound, units = profile_bound(g, variant)
+    assert lower_bound_union(g, variant, meter) == bound
+    assert meter.spent <= units
+
+
 @pytest.mark.parametrize("g, variant, sides", [(hypercube_graph(5), STANDARD, ("even", "odd")),
                                                (hypercube_graph(4), DEAF, ("all",))])
 def test_union_bound_budget_exit_reports_the_finished_prefix(g, variant, sides):
-    # the sides' profiles in lockstep, as lower_bound_union reads them: the
-    # units spent and the bound proved once each j is finished
+    # the rule lower_bound_union decides each j by: every side's search stops
+    # at a union below bound + j, and a side found below it skips the rest;
+    # the units spent and the bound proved once each j is decided
+    nbrs = moves(g, variant)
+    contribs = [[nbrs[v] for v in bits(side_mask(g, side))] for side in sides]
     meter = Meter()
-    finished = [(0, 0)]
-    for j, unions in enumerate(zip(*(union_profile(g, side, variant, meter) for side in sides)), 1):
-        finished.append((meter.spent, max(finished[-1][1], min(unions) - j + 1)))
-    assert lower_bound_union(g, variant, meter.spent) == finished[-1][1]
-    for (before, bound), (after, _) in zip(finished, finished[1:]):
+    decided = [(0, 0)]
+    for j in range(1, min(map(len, contribs)) + 1):
+        bound = decided[-1][1]
+        unions = []
+        for contrib in contribs:
+            unions.append(_min_union(contrib, j, bound + j - 1, meter))
+            if unions[-1] < bound + j:
+                break
+        decided.append((meter.spent, max(bound, min(unions) - j + 1)))
+    assert decided[-1][1] == profile_bound(g, variant)[0]
+    assert lower_bound_union(g, variant, meter.spent) == decided[-1][1]
+    for (before, bound), (after, _) in zip(decided, decided[1:]):
         for budget in (before, (before + after) // 2, after - 1):
             with pytest.raises(BudgetExceededError) as exc:
                 lower_bound_union(g, variant, budget)
@@ -391,20 +433,25 @@ def test_union_budget_is_cumulative_across_k():
         min_neighborhood_union(q4, k, budget=spent[k - 1])
         with pytest.raises(BudgetExceededError):
             min_neighborhood_union(q4, k, budget=spent[k - 1] - 1)
-    # the paired bound reads the two 8-vertex part profiles, 248 units each
+    # the two 8-vertex part profiles cost 248 units each; the paired bound
+    # decides each j of them in 184 units
+    assert profile_bound(q4) == (5, 2 * 248)
     with pytest.raises(BudgetExceededError) as exc:
-        lower_bound_union(q4, budget=2 * 248 - 1)
+        lower_bound_union(q4, budget=183)
     assert exc.value.phase == "bound"
-    assert lower_bound_union(q4, budget=2 * 248) == 5
+    assert lower_bound_union(q4, budget=184) == 5
 
 
 def test_hunter_number_budget_covers_the_bound_phase():
-    # the two part profiles of grid 4x4 cost 509 units; the bound reaches
-    # h = 3 in the prefix paid for
+    # the paired bound of grid 4x4 costs 170 units; it reaches h = 3 in the
+    # prefix paid for
     with pytest.raises(BudgetExceededError) as exc:
-        hunter_number(grid_graph(4, 4), budget=500)
+        hunter_number(grid_graph(4, 4), budget=169)
     assert exc.value.phase == "bound"
     assert exc.value.best_lower_bound == 3
+    with pytest.raises(BudgetExceededError) as exc:
+        hunter_number(grid_graph(4, 4), budget=170)
+    assert exc.value.phase == "search"
 
 
 def test_budget_bounds_the_total_work_of_a_solve():
@@ -414,7 +461,7 @@ def test_budget_bounds_the_total_work_of_a_solve():
     assert max(degeneracy(g), lower_bound_union(g, DEAF)) == 2
     meter = Meter()
     assert hunter_number(g, DEAF, meter).hunter_number == 3
-    assert meter.spent == 885  # 244 for the union profile, then the searches
+    assert meter.spent == 801  # 160 for the union bound, then the searches
     assert hunter_number(g, DEAF, meter.spent).hunter_number == 3
     with pytest.raises(BudgetExceededError) as exc:
         hunter_number(g, DEAF, meter.spent - 1)
