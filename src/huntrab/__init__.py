@@ -38,9 +38,7 @@ from .graphs import (
 from .nesting import (
     NestOrder,
     builtin_order,
-    check_isoperimetric_nesting,
     grid_nest_order,
-    hunter_number_via_nesting,
     initial_segments,
     nest_strategy,
     weightlex_full_order,

@@ -22,7 +22,6 @@ from .errors import (
     BudgetExceededError,
     CapacityError,
     FormatError,
-    InapplicableError,
     InvalidOrderError,
     InvalidParameterError,
     InvalidStrategyError,
@@ -31,8 +30,8 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 
-USAGE_ERRORS = (InvalidParameterError, CapacityError, FormatError, InapplicableError,
-                InvalidOrderError, InvalidStrategyError, NonTerminatingError, OSError)
+USAGE_ERRORS = (InvalidParameterError, CapacityError, FormatError, InvalidOrderError,
+                InvalidStrategyError, NonTerminatingError, OSError)
 
 BUDGET_HELP = ("work budget: one unit per candidate the union bound's branch and bound scans, "
                "plus one per kept set of each position set R the search expands, C(|R|, k) for R")
@@ -151,8 +150,11 @@ def _cmd_strategy(args) -> tuple[dict, int]:
         raise InvalidParameterError(f"the {variant} variant does not take a {order.kind}-kind order")
     m = args.hunters
     if m is None:
-        meter = solver.Meter(solver.DEFAULT_BUDGET, graphs.degeneracy(g))
-        m = nesting.hunter_number_via_nesting(g, order, meter)
+        # the count solve starts from: a lower bound, so a strategy that catches
+        # with it is exact, and one that cannot catch raises (exit 2)
+        degeneracy = graphs.degeneracy(g)
+        meter = solver.Meter(solver.DEFAULT_BUDGET, degeneracy)
+        m = max(1, degeneracy, solver.lower_bound_union(g, variant, meter)) if g.n else 0
     strategy = nesting.nest_strategy(g, order, m)
     results = {
         "variant": variant,
@@ -311,7 +313,8 @@ COMMANDS = {
         "--order": {"metavar": "FILE",
                     "help": "nest-order file (default: the built-in order of a gen hypercube, "
                             "or in the standard game of a gen grid or path)"},
-        "--hunters": {"type": int, "help": "shots per round (default: from the nesting check)"},
+        "--hunters": {"type": int,
+                      "help": "shots per round (default: the lower bound solve starts from)"},
         "--deaf": {"action": "store_true"},
         "--extend-parity": {"action": "store_true",
                             "help": "extend to a strategy winning from any start"},

@@ -31,10 +31,6 @@ class NonTerminatingError(RuntimeError):
     """A nest-order strategy stopped shrinking the rabbit set (too few hunters)."""
 
 
-class InapplicableError(ValueError):
-    """The nesting theorem's hypotheses do not hold for this graph/order."""
-
-
 class BudgetExceededError(RuntimeError):
     """A call ran past its work budget (see solver.Meter)."""
 

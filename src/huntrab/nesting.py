@@ -17,15 +17,9 @@ from operator import or_
 from typing import Iterator
 
 from .dynamics import DEAF, STANDARD, Strategy, moves, step
-from .errors import (
-    FormatError,
-    InapplicableError,
-    InvalidOrderError,
-    InvalidParameterError,
-    NonTerminatingError,
-)
+from .errors import FormatError, InvalidOrderError, InvalidParameterError, NonTerminatingError
 from .graphs import Graph, cube_dim, grid_graph, iter_bits, mask_of, side_mask
-from .solver import DEFAULT_BUDGET, Meter, as_meter, surplus, union_profile
+from .solver import surplus
 
 BIPARTITE = "bipartite"
 FULL = "full"
@@ -162,14 +156,7 @@ def builtin_order(g: Graph, variant: str) -> NestOrder | None:
 
 
 # ---------------------------------------------------------------------------
-# Verification against brute-force minima
-
-
-@dataclass(frozen=True)
-class NestingReport:
-    ok: bool
-    violations: tuple[tuple[str, int, str], ...]
-    surpluses: dict[str, int]  # side -> max over k of the brute-force minimum minus k
+# The constructive strategy
 
 
 def _bind(g: Graph, order: NestOrder) -> None:
@@ -184,32 +171,6 @@ def _segment_images(g: Graph, order: NestOrder, side: str) -> list[int]:
     the order."""
     nbrs = moves(g, order.variant)
     return list(accumulate((nbrs[v] for v in order.sequence(side)), or_))
-
-
-def check_isoperimetric_nesting(g: Graph, order: NestOrder,
-                                budget: int | Meter = DEFAULT_BUDGET) -> NestingReport:
-    """Check, for every k on each side, that the moves (N( ), or N[ ] for a full
-    order) of the side's first k vertices are an initial segment of the side
-    they land in and of the brute-force minimum size.  Lists every violated (side, k)."""
-    _bind(g, order)
-    meter = as_meter(budget)
-    violations: list[tuple[str, int, str]] = []
-    surpluses: dict[str, int] = {}
-    for side, image in order.next_side.items():
-        profile = list(union_profile(g, side, order.variant, meter))
-        surpluses[side] = surplus(profile)
-        segments = initial_segments(order, image)
-        for k, (minimum, nb) in enumerate(zip(profile, _segment_images(g, order, side)), start=1):
-            size = nb.bit_count()
-            if nb != segments[size]:
-                violations.append((side, k, "neighborhood of the segment is not an initial segment"))
-            if size != minimum:
-                violations.append((side, k, f"segment neighborhood has {size} vertices, minimum is {minimum}"))
-    return NestingReport(not violations, tuple(violations), surpluses)
-
-
-# ---------------------------------------------------------------------------
-# The constructive strategy
 
 
 def _tail_shot(segments: list[int], r: int, m: int) -> int:
@@ -258,26 +219,6 @@ def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
         return Strategy(tuple(shots), order.variant)
     raise NonTerminatingError(f"position set still has {rabbit.bit_count()} vertices "
                               f"after {4 * g.n} rounds; {m} hunters are too few")
-
-
-def hunter_number_via_nesting(g: Graph, order: NestOrder,
-                              budget: int | Meter = DEFAULT_BUDGET) -> int:
-    """Hunter number from a verified nest order: checks the nesting and that
-    the side surpluses differ by at most one (always so for the single side
-    of a full order), then returns min(surpluses) + 1, and at least 1 on a
-    graph with a vertex."""
-    report = check_isoperimetric_nesting(g, order, budget)
-    if not report.ok:
-        raise InvalidOrderError(f"order is not a nesting; first violation {report.violations[0]}")
-    u = report.surpluses
-    if max(u.values()) - min(u.values()) > 1:
-        raise InapplicableError(
-            f"side surpluses differ by more than one (even {u['even']}, odd {u['odd']})")
-    if g.n == 0:
-        return 0
-    # as in solver.hunter_number, a graph with a vertex takes a hunter even
-    # where the rabbit cannot move (Q0's sides give min(u) + 1 = 0)
-    return max(1, min(u.values()) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from huntrab.cube import comb0
 from huntrab.dynamics import STANDARD, Strategy
 from huntrab.errors import InvalidParameterError
 from huntrab.graphs import Graph, bipartition, graph_from_edges, mask_of
-from huntrab.nesting import iter_weightlex
-from huntrab.solver import Meter, union_profile
+from huntrab.nesting import NestOrder, _bind, _segment_images, initial_segments, iter_weightlex
+from huntrab.solver import DEFAULT_BUDGET, Meter, as_meter, union_profile
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -325,6 +325,37 @@ def subset_neighborhood(family: Iterable[int], n: int) -> frozenset[int]:
 def initial_even_segment(n: int, size: int) -> frozenset[int]:
     """First `size` even-size subsets of {1..n} in weightlex order."""
     return _ground_init(tuple(range(1, n + 1)), 0, size)
+
+
+# ---------------------------------------------------------------------------
+# Isoperimetric nesting: the theorem's hypothesis, checked k by k
+
+
+@dataclass(frozen=True)
+class NestingReport:
+    ok: bool
+    violations: tuple[tuple[str, int, str], ...]
+
+
+def check_isoperimetric_nesting(g: Graph, order: NestOrder,
+                                budget: int | Meter = DEFAULT_BUDGET) -> NestingReport:
+    """Check, for every k on each side, that the moves (N( ), or N[ ] for a full
+    order) of the side's first k vertices are an initial segment of the side
+    they land in and of the exact minimum size U(k), from each side's whole
+    union profile.  Lists every violated (side, k)."""
+    _bind(g, order)
+    meter = as_meter(budget)
+    violations: list[tuple[str, int, str]] = []
+    for side, image in order.next_side.items():
+        profile = union_profile(g, side, order.variant, meter)
+        segments = initial_segments(order, image)
+        for k, (minimum, nb) in enumerate(zip(profile, _segment_images(g, order, side)), start=1):
+            size = nb.bit_count()
+            if nb != segments[size]:
+                violations.append((side, k, "neighborhood of the segment is not an initial segment"))
+            if size != minimum:
+                violations.append((side, k, f"segment neighborhood has {size} vertices, minimum is {minimum}"))
+    return NestingReport(not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from itertools import accumulate
 
 from conftest import (
+    check_isoperimetric_nesting,
     compress_fully,
     compress_ij,
     initial_even_segment,
@@ -32,7 +33,6 @@ from huntrab.cube import (
 from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, moves, step, verify
 from huntrab.graphs import cycle_graph, grid_graph, hypercube_graph, path_graph, star_graph
 from huntrab.nesting import (
-    check_isoperimetric_nesting,
     grid_nest_order,
     nest_strategy,
     shot_labels,

@@ -12,9 +12,9 @@ import pytest
 
 from huntrab import cli, graphs, solver
 from huntrab.cube import MAX_SEQ_DIM, cube_diff_seq
-from huntrab.dynamics import STANDARD, Caught, Strategy, read_strategy, verify
-from huntrab.graphs import format_graph, graph_from_edges, hypercube_graph, read_graph
-from huntrab.nesting import BIPARTITE, NestOrder, hunter_number_via_nesting, weightlex_nest_order
+from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, read_strategy, verify
+from huntrab.graphs import format_graph, graph_from_edges, hypercube_graph, read_graph, star_graph
+from huntrab.nesting import BIPARTITE, NestOrder, weightlex_nest_order, write_nest_order
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -361,8 +361,8 @@ def test_strategy_deaf_full_order(tmp_path, capsys):
 
 
 def test_strategy_with_given_hunters_enumerates_nothing(tmp_path, capsys, monkeypatch):
-    # the Q6 nesting check takes about half a minute; neither it nor the
-    # degeneracy that seeds its meter is needed
+    # given hunters, neither the union bound nor the degeneracy that seeds
+    # its meter is needed
     def no_work(*args):
         raise AssertionError("bound computed")
 
@@ -444,15 +444,68 @@ def test_routes_agree_on_q0(tmp_path, capsys):
     run_cli(capsys, "gen", "hypercube", "0", "-o", str(path))
     code, report = run_json(capsys, "solve", str(path))
     assert code == 0 and report["results"]["hunter_number"] == 1
-    q0 = hypercube_graph(0)
-    assert hunter_number_via_nesting(q0, weightlex_nest_order(q0)) == 1
-    empty = graph_from_edges(0, [])
-    assert hunter_number_via_nesting(empty, NestOrder(BIPARTITE, (), ())) == 0
-    assert solver.hunter_number(empty).hunter_number == 0
+    assert solver.hunter_number(graph_from_edges(0, [])).hunter_number == 0
     for flags in ([], ["--deaf"]):
         code, report = run_json(capsys, "strategy", str(path), *flags)
         assert code == 0
         assert report["results"]["hunters"] == 1 and report["results"]["verified"] is True
+
+
+# every graph with a built-in order that solve answers within seconds: Q0-Q4
+# in both games, and in the standard game every grid and path of up to 20
+# cells, the sweeps that are no nesting (1x4, 3x4, 4x4, 3x6, ...) included
+ROUTE_CASES = ([("hypercube", (n,), flags) for n in range(5) for flags in ([], ["--deaf"])]
+               + [("grid", (m, n), []) for m in range(1, 21) for n in range(1, 20 // m + 1)])
+
+
+def test_strategy_hunters_equal_hunter_number(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    for family, params, flags in ROUTE_CASES:
+        run_cli(capsys, "gen", family, *map(str, params), "-o", str(path))
+        code, report = run_json(capsys, "strategy", str(path), *flags)
+        exact = solver.hunter_number(read_graph(str(path)), DEAF if flags else STANDARD)
+        assert code == 0 and report["results"]["verified"] is True, (family, params, flags)
+        assert report["results"]["hunters"] == exact.hunter_number, (family, params, flags)
+
+
+@pytest.mark.parametrize("family, params, flags, hunters", [
+    ("grid", (8, 8), [], 5),
+    ("grid", (6, 6), [], 4),
+    ("hypercube", (6,), [], 14),
+    ("hypercube", (5,), ["--deaf"], 14),
+], ids=["grid8x8", "grid6x6", "q6", "q5-deaf"])
+def test_strategy_answers_past_the_nesting_check(tmp_path, capsys, family, params, flags, hunters):
+    # a strategy that catches with as many hunters as the union bound is
+    # exact, nesting or not (grid 6x6's sweep is none), and the bound costs
+    # under a second on each
+    path = tmp_path / "g.graph"
+    run_cli(capsys, "gen", family, *map(str, params), "-o", str(path))
+    code, report = run_json(capsys, "strategy", str(path), *flags)
+    assert code == 0
+    assert report["results"]["hunters"] == hunters and report["results"]["verified"] is True
+
+
+def test_strategy_without_hunters_exits_2_when_the_order_fails(tmp_path, capsys):
+    graph_path, order_path = tmp_path / "q4.graph", tmp_path / "q4.order"
+    run_cli(capsys, "gen", "hypercube", "4", "-o", str(graph_path))
+    good = weightlex_nest_order(hypercube_graph(4))
+    write_nest_order(NestOrder(BIPARTITE, good.order_even[::-1], good.order_odd), str(order_path))
+    code, out, err = run_cli(capsys, "strategy", str(graph_path), "--order", str(order_path))
+    assert code == 2 and out == ""
+    assert "not an initial segment" in err and "step 2" in err
+
+
+def test_strategy_answers_a_nesting_with_unbalanced_sides(tmp_path, capsys):
+    # the star's sides have union surpluses 3 (even) and 0 (odd); the
+    # strategy drives the odd side and one hunter catches, as solve finds
+    graph_path, order_path = tmp_path / "star.graph", tmp_path / "star.order"
+    graph_path.write_text(format_graph(star_graph(4)), encoding="utf-8")
+    write_nest_order(NestOrder(BIPARTITE, (0,), (1, 2, 3, 4)), str(order_path))
+    code, report = run_json(capsys, "strategy", str(graph_path), "--order", str(order_path))
+    assert code == 0
+    assert report["results"]["hunters"] == 1 and report["results"]["verified"] is True
+    code, report = run_json(capsys, "solve", str(graph_path))
+    assert code == 0 and report["results"]["hunter_number"] == 1
 
 
 def test_verify_escape_exit_4(tmp_path, capsys):

@@ -1,11 +1,10 @@
 import pytest
 
-from conftest import lex_key, weightlex_key
+from conftest import check_isoperimetric_nesting, lex_key, weightlex_key
 from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, moves, run, step, verify
 from huntrab.errors import (
     BudgetExceededError,
     FormatError,
-    InapplicableError,
     InvalidOrderError,
     InvalidParameterError,
     NonTerminatingError,
@@ -27,11 +26,9 @@ from huntrab.nesting import (
     FULL,
     NestOrder,
     builtin_order,
-    check_isoperimetric_nesting,
     format_nest_order,
     grid_key,
     grid_nest_order,
-    hunter_number_via_nesting,
     initial_segments,
     iter_weightlex,
     nest_strategy,
@@ -208,6 +205,28 @@ def test_closed_nesting():
     assert check_isoperimetric_nesting(path_graph(3), NestOrder(FULL, order_all=(0, 1, 2))).ok
 
 
+def test_nesting_check_enumerates_each_side_once_and_the_strategy_nothing(monkeypatch):
+    # each side of Q^4 has 8 vertices, and its profile's branch and bound
+    # scans 248 candidates
+    q4 = hypercube_graph(4)
+    order = weightlex_nest_order(q4)
+    meter = Meter()
+    assert check_isoperimetric_nesting(q4, order, meter).ok
+    assert meter.spent == 2 * 248
+    with pytest.raises(BudgetExceededError) as exc:
+        check_isoperimetric_nesting(q4, order, budget=2 * 248 - 1)
+    # the even side and the odd side's k = 1..7 are paid for; k = 8 (8 units) is not
+    assert exc.value.phase == "bound" and exc.value.spent == 2 * 248 - 8
+    charges = []
+    monkeypatch.setattr(Meter, "spend", lambda self, units, phase: charges.append(units))
+    nest_strategy(q4, order, 5)
+    assert charges == []  # the side choice reads the order's own segments
+    monkeypatch.undo()
+    meter = Meter()
+    assert check_isoperimetric_nesting(q4, weightlex_full_order(q4), meter).ok
+    assert meter.spent == 15_090
+
+
 # ---------------------------------------------------------------------------
 # Strategy construction
 
@@ -271,8 +290,7 @@ def test_nest_strategy_trace_strictly_decreases_every_two_rounds():
              for n in (2, 3, 4)]
     cases += [(grid_graph(m, n), grid_nest_order(m, n)) for m, n in [(2, 2), (2, 3), (3, 3)]]
     for g, order in cases:
-        m = hunter_number_via_nesting(g, order)
-        strategy = nest_strategy(g, order, m)
+        strategy = nest_strategy(g, order, hunter_number(g).hunter_number)
         first = next(s for s in strategy.shots if s)
         parts = bipartition(g)
         start = parts.even if first & parts.even else parts.odd
@@ -281,74 +299,6 @@ def test_nest_strategy_trace_strictly_decreases_every_two_rounds():
         assert sizes[-1] == 0
         for i in range(len(sizes) - 2):
             assert sizes[i + 2] < sizes[i]
-
-
-# ---------------------------------------------------------------------------
-# Hunter number via nesting
-
-
-def test_hunter_number_via_nesting_values():
-    q3 = hypercube_graph(3)
-    assert hunter_number_via_nesting(q3, weightlex_nest_order(q3)) == 3
-    q4 = hypercube_graph(4)
-    assert hunter_number_via_nesting(q4, weightlex_nest_order(q4)) == 5
-    assert hunter_number_via_nesting(grid_graph(2, 3), grid_nest_order(2, 3)) == 2
-    assert hunter_number_via_nesting(q3, weightlex_full_order(q3)) == 5
-
-
-def test_nesting_route_enumerates_each_side_once_under_one_budget(monkeypatch):
-    # each side of Q^4 has 8 vertices, and its profile's branch and bound
-    # scans 248 candidates
-    q4 = hypercube_graph(4)
-    order = weightlex_nest_order(q4)
-    meter = Meter()
-    m = hunter_number_via_nesting(q4, order, meter)
-    assert meter.spent == 2 * 248  # the check's profiles give the surpluses
-    with pytest.raises(BudgetExceededError) as exc:
-        check_isoperimetric_nesting(q4, order, budget=2 * 248 - 1)
-    # the even side and the odd side's k = 1..7 are paid for; k = 8 (8 units) is not
-    assert exc.value.phase == "bound" and exc.value.spent == 2 * 248 - 8
-    charges = []
-    monkeypatch.setattr(Meter, "spend", lambda self, units, phase: charges.append(units))
-    nest_strategy(q4, order, m)
-    assert charges == []  # the side choice reads the order's own segments
-    monkeypatch.undo()
-    full = weightlex_full_order(q4)
-    meter = Meter()
-    assert hunter_number_via_nesting(q4, full, meter) == 8
-    assert meter.spent == 15_090
-
-
-def test_hunter_number_via_nesting_rejects_unbalanced_sides():
-    star = star_graph(4)
-    order = NestOrder(BIPARTITE, (0,), (1, 2, 3, 4))
-    assert check_isoperimetric_nesting(star, order).ok
-    with pytest.raises(InapplicableError) as exc:
-        hunter_number_via_nesting(star, order)
-    assert "(even 3, odd 0)" in str(exc.value)
-
-
-def test_hunter_number_via_nesting_rejects_non_nesting_order():
-    q4 = hypercube_graph(4)
-    good = weightlex_nest_order(q4)
-    bad = NestOrder(BIPARTITE, tuple(reversed(good.order_even)), good.order_odd)
-    with pytest.raises(InvalidOrderError):
-        hunter_number_via_nesting(q4, bad)
-
-
-def test_exact_matches_nesting_where_both_apply():
-    cases = [(hypercube_graph(n), weightlex_nest_order(hypercube_graph(n))) for n in (2, 3, 4)]
-    cases += [(grid_graph(m, n), grid_nest_order(m, n))
-              for m, n in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]]
-    applied = 0
-    for g, order in cases:
-        try:
-            via_nesting = hunter_number_via_nesting(g, order)
-        except InvalidOrderError:
-            continue  # the order is not a nesting for this graph (e.g. 3x4)
-        applied += 1
-        assert hunter_number(g).hunter_number == via_nesting
-    assert applied >= 7
 
 
 # ---------------------------------------------------------------------------
