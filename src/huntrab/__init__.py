@@ -49,10 +49,9 @@ from .solver import (
     SolveResult,
     can_clear,
     hunter_number,
+    lower_bound,
     lower_bound_union,
     min_neighborhood_union,
-    surplus,
-    union_profile,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -148,13 +148,9 @@ def _cmd_strategy(args) -> tuple[dict, int]:
                                     "standard game for a grid or path; give --order FILE")
     if variant != order.variant:
         raise InvalidParameterError(f"the {variant} variant does not take a {order.kind}-kind order")
-    m = args.hunters
-    if m is None:
-        # the count solve starts from: a lower bound, so a strategy that catches
-        # with it is exact, and one that cannot catch raises (exit 2)
-        degeneracy = graphs.degeneracy(g)
-        meter = solver.Meter(solver.DEFAULT_BUDGET, degeneracy)
-        m = max(1, degeneracy, solver.lower_bound_union(g, variant, meter)) if g.n else 0
+    # the count solve starts from: a lower bound, so a strategy that catches
+    # with it is exact, and one that cannot catch raises (exit 2)
+    m = solver.lower_bound(g, variant) if args.hunters is None else args.hunters
     strategy = nesting.nest_strategy(g, order, m)
     results = {
         "variant": variant,
@@ -185,10 +181,10 @@ def _cmd_strategy(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    inputs = {"graph": _digest(args.graph), "strategy": _digest(args.strategy)}
     g = graphs.read_graph(args.graph)
     strategy = dynamics.read_strategy(args.strategy)
     outcome = dynamics.verify(g, strategy, args.start)
-    inputs = {"graph": _digest(args.graph), "strategy": _digest(args.strategy)}
     if isinstance(outcome, dynamics.Caught):
         results = {"outcome": "caught", "step": outcome.step}
         code = 0

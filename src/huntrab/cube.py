@@ -32,7 +32,7 @@ QUOTED_SURPLUS_Q4 = 5
 
 # A difference sequence holds all 2^(n-1) entries of one side, so its memory
 # doubles with each dimension: the JSON report of `cube 20 diffseq` peaks
-# at about 60 MB of RSS under Python 3.11, and n = 40 would need terabytes.
+# at about 33 MB of RSS under Python 3.11, and n = 40 would need terabytes.
 # The scans of the other cube reports stay O(n^2) and take no cap.
 MAX_SEQ_DIM = 20
 

@@ -19,7 +19,6 @@ from typing import Iterator
 from .dynamics import DEAF, STANDARD, Strategy, moves, step
 from .errors import FormatError, InvalidOrderError, InvalidParameterError, NonTerminatingError
 from .graphs import Graph, cube_dim, grid_graph, iter_bits, mask_of, side_mask
-from .solver import surplus
 
 BIPARTITE = "bipartite"
 FULL = "full"
@@ -185,21 +184,24 @@ def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
 
     The order's kind fixes the game: standard for the bipartite kind, deaf
     for the full kind.  The rabbit starts on the driven side, the side whose
-    segment images have the smaller surplus (ties to even): the side's union
-    surplus when the order nests, since its segments then achieve every
-    minimum.  Each round moves the rabbit to the side that side maps to.  A
-    bipartite strategy thus respects parity, and extend_parity turns it into
-    one winning from any start; a full order's strategy starts from all of V.
+    segment images have the smaller surplus, max over k of the size of the
+    first k vertices' image less k (ties to even): the side's union surplus
+    when the order nests, since its segments then achieve every minimum.
+    Each round moves the rabbit to the side that side maps to.  A bipartite
+    strategy thus respects parity, and extend_parity turns it into one
+    winning from any start; a full order's strategy starts from all of V.
 
     Each round re-checks that the position set is an initial segment of the
     active order and fails with InvalidOrderError otherwise; if the set stops
-    shrinking (m too small) the step limit raises NonTerminatingError.
+    shrinking (m too small) the step limit raises NonTerminatingError.  The
+    empty graph takes m = 0, the count solve answers there, and no shot.
     """
-    if m < 1:
+    if m < min(1, g.n):
         raise InvalidParameterError("hunter count must be at least 1")
     _bind(g, order)
-    side = min(order.next_side,
-               key=lambda s: surplus(nb.bit_count() for nb in _segment_images(g, order, s)))
+    side = min(order.next_side, key=lambda s: max(
+        (nb.bit_count() - k for k, nb in enumerate(_segment_images(g, order, s), start=1)),
+        default=0))
     segments = {s: initial_segments(order, s) for s in order.next_side}
     nbrs = moves(g, order.variant)
     rabbit = segments[side][-1]

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .dynamics import STANDARD, Strategy, extend_parity, moves
 from .errors import BudgetExceededError, InvalidParameterError
@@ -125,36 +124,14 @@ def _contributions(g: Graph, side: str, variant: str) -> list[int]:
     return [nbrs[v] for v in bits(side_mask(g, side))]
 
 
-def union_profile(g: Graph, side: str = "all", variant: str = STANDARD,
-                  budget: int | Meter = DEFAULT_BUDGET) -> Iterator[int]:
-    """U(1), U(2), ..., U(|side|), where U(k) is the smallest |N(W)|
-    (|N[W]| for a deaf rabbit) over the k-subsets W of the side.
-
-    Each U(k) is computed, and charged, only when it is asked for.  Dropping
-    a vertex from a best k-set leaves a (k-1)-set whose union is no larger,
-    so U(k) >= U(k-1), and the search for U(k) ends at the first k-union of
-    U(k-1) vertices.
-    """
-    meter = as_meter(budget)
-    contrib = _contributions(g, side, variant)
-    floor = 0
-    for k in range(1, len(contrib) + 1):
-        floor = _min_union(contrib, k, floor, meter)
-        yield floor
-
-
 def min_neighborhood_union(g: Graph, k: int, side: str = "all", variant: str = STANDARD,
                            budget: int | Meter = DEFAULT_BUDGET) -> int:
-    """U(k) of the side, read off its union profile."""
+    """U(k), the smallest |N(W)| (|N[W]| for a deaf rabbit) over the
+    k-subsets W of the side, by one search for it alone."""
     mask = side_mask(g, side)
     if not 1 <= k <= mask.bit_count():
         raise InvalidParameterError(f"k={k} out of range 1..{mask.bit_count()}")
-    return next(islice(union_profile(g, side, variant, budget), k - 1, None))
-
-
-def surplus(profile: Iterable[int]) -> int:
-    """max over k of profile[k] - k (k is 1-based); 0 for an empty profile."""
-    return max((v - k for k, v in enumerate(profile, start=1)), default=0)
+    return _min_union(_contributions(g, side, variant), k, 0, as_meter(budget))
 
 
 def lower_bound_union(g: Graph, variant: str = STANDARD,
@@ -189,6 +166,22 @@ def lower_bound_union(g: Graph, variant: str = STANDARD,
                 break  # j cannot raise the bound
         bound = max(bound, min(unions) - j + 1)
         meter.lower_bound = max(meter.lower_bound, bound)
+    return bound
+
+
+def lower_bound(g: Graph, variant: str = STANDARD, budget: int | Meter = DEFAULT_BUDGET) -> int:
+    """The hunter count solve starts from: over the components, the largest
+    of 1, the degeneracy and lower_bound_union; 0 on the empty graph.  Taken
+    on the whole graph, an isolated vertex's U(1) = 0 would pull its part's
+    minima down.  A component's seed from the degeneracy is proved before
+    its union bound runs, so a budget exit there reports it."""
+    meter = as_meter(budget)
+    bound = 0
+    for comp in components(g):
+        sub = g if comp == g.full_mask else induced_subgraph(g, comp)[0]
+        seed = max(1, degeneracy(sub))
+        meter.lower_bound = max(meter.lower_bound, seed)
+        bound = max(bound, seed, lower_bound_union(sub, variant, meter))
     return bound
 
 
@@ -378,11 +371,11 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     """Exact hunter number with a verifying witness strategy.
 
     Each component is solved separately, iterating the hunter count upward
-    from its lower bound, lower_bound_union raised to the degeneracy; the
-    final answer is the max over components and the witness plays the
-    per-component witnesses in sequence (a cleared component stays empty
-    while later components are driven).  lower_bound_used is the max over
-    components of the bound used.
+    from its lower_bound; the final answer is the max over components and
+    the witness plays the per-component witnesses in sequence (a cleared
+    component stays empty while later components are driven).
+    lower_bound_used is the max over components of the bound used, which is
+    lower_bound of the whole graph.
 
     In the standard game a bipartite component with more than one vertex is
     searched from its even part only.  No other start needs more hunters:
@@ -416,9 +409,7 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     all_shots: list[int] = []
     for comp in components(g):
         sub, old = induced_subgraph(g, comp)
-        k = max(1, degeneracy(sub))
-        meter.lower_bound = max(meter.lower_bound, k)
-        k = max(k, lower_bound_union(sub, variant, meter))
+        k = lower_bound(sub, variant, meter)
         parts = bipartition(sub) if variant == STANDARD and sub.n > 1 else None
         start = None if parts is None else parts.even
         start_size = sub.n if start is None else start.bit_count()

@@ -18,7 +18,7 @@ from huntrab.dynamics import STANDARD, Strategy
 from huntrab.errors import InvalidParameterError
 from huntrab.graphs import Graph, bipartition, graph_from_edges, mask_of
 from huntrab.nesting import NestOrder, _bind, _segment_images, initial_segments, iter_weightlex
-from huntrab.solver import DEFAULT_BUDGET, Meter, as_meter, union_profile
+from huntrab.solver import DEFAULT_BUDGET, Meter, _contributions, _min_union, as_meter
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -43,6 +43,25 @@ def brute_min_union(g: Graph, k: int, side_vertices: list[int], closed: bool = F
             best = len(union)
     assert best is not None
     return best
+
+
+def union_profile(g: Graph, side: str = "all", variant: str = STANDARD,
+                  budget: int | Meter = DEFAULT_BUDGET) -> Iterator[int]:
+    """Reference union profile U(1), U(2), ..., U(|side|), each U(k) computed
+    when it is read.  Dropping a vertex from a best k-set leaves a
+    (k-1)-set whose union is no larger, so U(k) >= U(k-1), and the search
+    for U(k) ends at the first k-union of U(k-1) vertices."""
+    meter = as_meter(budget)
+    contrib = _contributions(g, side, variant)
+    floor = 0
+    for k in range(1, len(contrib) + 1):
+        floor = _min_union(contrib, k, floor, meter)
+        yield floor
+
+
+def surplus(profile: Iterable[int]) -> int:
+    """max over k of profile[k] - k (k is 1-based); 0 for an empty profile."""
+    return max((v - k for k, v in enumerate(profile, start=1)), default=0)
 
 
 def profile_bound(g: Graph, variant: str = STANDARD) -> tuple[int, int]:

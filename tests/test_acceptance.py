@@ -20,6 +20,7 @@ from conftest import (
     random_graph,
     random_mask,
     subset_neighborhood,
+    union_profile,
 )
 from huntrab import cli
 from huntrab.cube import (
@@ -39,7 +40,7 @@ from huntrab.nesting import (
     weightlex_full_order,
     weightlex_nest_order,
 )
-from huntrab.solver import CLEARED, can_clear, hunter_number, union_profile
+from huntrab.solver import CLEARED, can_clear, hunter_number
 
 
 @contextmanager

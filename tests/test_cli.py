@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from huntrab import cli, graphs, solver
+from huntrab import cli, dynamics, graphs, solver
 from huntrab.cube import MAX_SEQ_DIM, cube_diff_seq
 from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, read_strategy, verify
 from huntrab.graphs import format_graph, graph_from_edges, hypercube_graph, read_graph, star_graph
@@ -215,6 +215,24 @@ def test_the_digest_names_the_bytes_that_were_solved(tmp_path, capsys, monkeypat
     assert code == 0 and report["results"]["hunter_number"] == 2
     assert report["inputs"]["graph"]["sha256"] == original
     assert hashlib.sha256(path.read_bytes()).hexdigest() != original
+
+
+def test_the_digests_name_the_bytes_that_were_verified(tmp_path, capsys, monkeypatch):
+    graph_path, strat_path = tmp_path / "c5.graph", tmp_path / "c5.strategy"
+    run_cli(capsys, "gen", "cycle", "5", "-o", str(graph_path))
+    run_cli(capsys, "solve", str(graph_path), "--strategy-out", str(strat_path))
+    originals = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (graph_path, strat_path)]
+    verify = dynamics.verify
+
+    def rewriting(*args):
+        graph_path.write_text(format_graph(graph_from_edges(2, [(0, 1)])))
+        return verify(*args)
+
+    monkeypatch.setattr(dynamics, "verify", rewriting)
+    code, report = run_json(capsys, "verify", str(graph_path), str(strat_path))
+    assert code == 0 and report["results"]["outcome"] == "caught"
+    assert [report["inputs"][name]["sha256"] for name in ("graph", "strategy")] == originals
+    assert hashlib.sha256(graph_path.read_bytes()).hexdigest() != originals[0]
 
 
 def test_solve_witness_reverifies_end_to_end(tmp_path, capsys):
@@ -431,12 +449,31 @@ def test_strategy_from_an_order_file_on_the_empty_graph(tmp_path, capsys):
     order_path = tmp_path / "empty.order"
     graph_path.write_text("0 0\n", encoding="utf-8")
     order_path.write_text("kind bipartite\n\n\n", encoding="utf-8")
-    code, report = run_json(capsys, "strategy", str(graph_path), "--order", str(order_path),
-                            "--hunters", "2")
+    # without --hunters the count is solve's answer, 0
+    for flags, hunters in (["--hunters", "2"], 2), ([], 0):
+        code, report = run_json(capsys, "strategy", str(graph_path), "--order", str(order_path),
+                                *flags)
+        assert code == 0
+        results = report["results"]
+        # like solve, which answers 0: no shot, and the rabbit is caught at once
+        assert (results["hunters"], results["steps"], results["verified"],
+                results["caught_at"]) == (hunters, 0, True, 0), flags
+
+
+def test_strategy_takes_the_bound_per_component(tmp_path, capsys):
+    # on the whole graph the isolated vertex's U(1) = 0 pulls the even
+    # part's minima down to a bound of 4, too few for the order's strategy;
+    # per component, as solve seeds, the count is Q4's 5
+    q4 = hypercube_graph(4)
+    g = graph_from_edges(17, list(q4.edges()))
+    cube = weightlex_nest_order(q4)
+    graph_path, order_path = tmp_path / "g.graph", tmp_path / "g.order"
+    graph_path.write_text(format_graph(g), encoding="utf-8")
+    write_nest_order(NestOrder(BIPARTITE, cube.order_even + (16,), cube.order_odd), str(order_path))
+    code, report = run_json(capsys, "strategy", str(graph_path), "--order", str(order_path))
     assert code == 0
-    results = report["results"]
-    # like solve, which answers 0: no shot, and the rabbit is caught at once
-    assert results["steps"] == 0 and results["verified"] is True and results["caught_at"] == 0
+    assert report["results"]["hunters"] == 5 == solver.hunter_number(g).lower_bound_used
+    assert report["results"]["verified"] is True
 
 
 def test_routes_agree_on_q0(tmp_path, capsys):

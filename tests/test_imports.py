@@ -1,7 +1,7 @@
 """Every name a module imports is used in that module, every public name
 of the package, down to the methods and properties of its classes, is used
-by a route: the package itself, the scripts or the benchmark, and no assert
-statement guards the package."""
+by a route: the package itself, the scripts or the benchmark, no route
+imports the exact search, and no assert statement guards the package."""
 
 import ast
 from pathlib import Path
@@ -75,6 +75,29 @@ def test_every_public_name_is_used_outside_the_tests():
     unused = sorted(f"{path.stem}.{qualified}" for path in MODULES
                     for qualified, name in public_names(parse(path)).items() if name not in used)
     assert not unused, f"only the tests use {unused}; move them into tests/conftest.py"
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """The last dotted part of every module the tree imports, with the
+    modules a bare "from . import" names."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:
+                modules.update(alias.name for alias in node.names)
+            else:
+                modules.add(node.module)
+    return {module.split(".")[-1] for module in modules}
+
+
+@pytest.mark.parametrize("name", ["nesting.py", "cube.py"])
+def test_no_route_computes_through_the_exact_search(name):
+    # the routes check one another, so the nest-order and cube routes take
+    # nothing from the search or its automorphism groups
+    found = sorted(imported_modules(parse(PACKAGE / name)) & {"solver", "symmetry"})
+    assert not found, f"{name} imports {found}"
 
 
 def test_no_assert_guards_the_package():

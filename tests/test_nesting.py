@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import check_isoperimetric_nesting, lex_key, weightlex_key
+from conftest import check_isoperimetric_nesting, lex_key, surplus, union_profile, weightlex_key
 from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, moves, run, step, verify
 from huntrab.errors import (
     BudgetExceededError,
@@ -37,7 +37,7 @@ from huntrab.nesting import (
     weightlex_full_order,
     weightlex_nest_order,
 )
-from huntrab.solver import Meter, hunter_number, surplus, union_profile
+from huntrab.solver import Meter, hunter_number
 
 from test_dynamics import Q4_SHOT_LABELS
 
@@ -253,6 +253,18 @@ def test_nest_strategy_too_few_hunters_does_not_terminate():
         nest_strategy(q3, weightlex_nest_order(q3), 2)
     with pytest.raises(InvalidParameterError):
         nest_strategy(q3, weightlex_nest_order(q3), 0)
+
+
+def test_nest_strategy_takes_no_hunter_only_on_the_empty_graph():
+    # the empty graph's hunter number is 0, and its strategy shoots nothing
+    empty = graph_from_edges(0, [])
+    for order in (NestOrder(BIPARTITE, (), ()), NestOrder(FULL, order_all=())):
+        assert nest_strategy(empty, order, 0).shots == ()
+        with pytest.raises(InvalidParameterError):
+            nest_strategy(empty, order, -1)
+    q3 = hypercube_graph(3)
+    with pytest.raises(InvalidParameterError):
+        nest_strategy(q3, weightlex_full_order(q3), 0)
 
 
 def test_nest_strategy_detects_non_nesting_order():

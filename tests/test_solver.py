@@ -11,6 +11,8 @@ from conftest import (
     profile_bound,
     random_graph,
     random_mask,
+    surplus,
+    union_profile,
 )
 from huntrab.cube import cube_deaf_surplus, cube_diff_seq, cube_hunter_number
 from huntrab.dynamics import DEAF, STANDARD, Caught, moves, verify
@@ -36,10 +38,9 @@ from huntrab.solver import (
     _successors,
     can_clear,
     hunter_number,
+    lower_bound,
     lower_bound_union,
     min_neighborhood_union,
-    surplus,
-    union_profile,
 )
 
 
@@ -93,7 +94,7 @@ def test_min_union_matches_set_based_oracle():
         for side, vertices in sides.items():
             for variant in (STANDARD, DEAF):
                 # each k of the profile stops early at a union of U(k - 1)
-                # vertices; min_neighborhood_union reads the same profile
+                # vertices; min_neighborhood_union searches each U(k) alone
                 brute = [brute_min_union(g, k, vertices, closed=(variant == DEAF))
                          for k in range(1, len(vertices) + 1)]
                 assert list(union_profile(g, side, variant)) == brute, (g, side, variant)
@@ -136,6 +137,35 @@ def test_union_bound_matches_the_whole_profile_oracle():
         for variant in (STANDARD, DEAF):
             assert lower_bound_union(g, variant) == profile_bound(g, variant)[0], \
                 (list(g.edges()), variant)
+
+
+def test_lower_bound_is_the_seed_solve_uses():
+    # per component: an isolated vertex cannot pull a part's minima down
+    rng = random.Random(1717)
+    graphs = [graph_from_edges(0, []), graph_from_edges(1, []), graph_from_edges(3, [])]
+    for trial in range(150):
+        g = _random_bipartite_graph(rng, 9) if trial % 2 else random_graph(rng, 9)
+        if trial % 3 == 0:
+            g = graph_from_edges(g.n + 1, list(g.edges()))  # an isolated vertex
+        graphs.append(g)
+    assert sum(len(components(g)) > 1 for g in graphs) > 50
+    for g in graphs:
+        for variant in (STANDARD, DEAF):
+            seed = max((max(1, degeneracy(sub), lower_bound_union(sub, variant))
+                        for sub in _component_subgraphs(g)), default=0)
+            assert lower_bound(g, variant) == seed == hunter_number(g, variant).lower_bound_used, \
+                (g.n, list(g.edges()), variant)
+    q4_and_a_vertex = graph_from_edges(17, list(hypercube_graph(4).edges()))
+    assert lower_bound_union(q4_and_a_vertex) == 4
+    assert lower_bound(q4_and_a_vertex) == 5
+
+
+def test_lower_bound_budget_exit_reports_the_degeneracy():
+    # each component's degeneracy, at least 1, is proved before its union bound
+    for g, best in [(cycle_graph(5), 2), (path_graph(4), 1), (grid_graph(3, 3), 2)]:
+        with pytest.raises(BudgetExceededError) as exc:
+            lower_bound(g, budget=0)
+        assert exc.value.phase == "bound" and exc.value.best_lower_bound == best
 
 
 @pytest.mark.parametrize("g, variant", [(hypercube_graph(5), STANDARD),
@@ -422,17 +452,22 @@ def test_hunter_number_budget_exceeded_carries_bounds():
     assert exc.value.best_lower_bound >= 2
 
 
-def test_union_budget_is_cumulative_across_k():
-    # U(k) is read off the profile, so it costs the candidates scanned for
-    # U(1), ..., U(k)
+def test_min_union_budget_is_its_own_search():
+    # U(k) is one search for it alone, not read off the profile: it costs
+    # the candidates that search scans, no more than the profile's U(1),
+    # ..., U(k), and a budget one unit short exits in the bound phase
     q4 = hypercube_graph(4)
     meter = Meter()
-    spent = [meter.spent for _ in union_profile(q4, budget=meter)]
-    assert spent[-1] == 8776
-    for k in range(1, 17):
-        min_neighborhood_union(q4, k, budget=spent[k - 1])
-        with pytest.raises(BudgetExceededError):
-            min_neighborhood_union(q4, k, budget=spent[k - 1] - 1)
+    profile = [(union, meter.spent) for union in union_profile(q4, budget=meter)]
+    assert meter.spent == 8776
+    for k, (union, prefix) in enumerate(profile, start=1):
+        own = Meter()
+        assert min_neighborhood_union(q4, k, budget=own) == union
+        assert own.spent <= prefix
+        assert min_neighborhood_union(q4, k, budget=own.spent) == union
+        with pytest.raises(BudgetExceededError) as exc:
+            min_neighborhood_union(q4, k, budget=own.spent - 1)
+        assert exc.value.phase == "bound"
     # the two 8-vertex part profiles cost 248 units each; the paired bound
     # decides each j of them in 184 units
     assert profile_bound(q4) == (5, 2 * 248)
