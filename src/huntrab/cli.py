@@ -127,9 +127,13 @@ def _cmd_bounds(args) -> tuple[dict, int]:
     g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     degeneracy = graphs.degeneracy(g)
+    meter = solver.Meter(args.budget, degeneracy)
     results = {
         "mode": "closed" if args.deaf else "open",
-        "union_bound": solver.lower_bound_union(g, variant, solver.Meter(args.budget, degeneracy)),
+        # per component, as solve takes it: an isolated vertex's U(1) = 0
+        # would pull the whole graph's minima down
+        "union_bound": max((solver.lower_bound_union(sub, variant, meter)
+                            for sub in solver.component_graphs(g)), default=0),
         "degeneracy_bound": degeneracy,
     }
     # Q^n, n >= 1, projects onto its weight path with the weight layers as fibers

@@ -41,13 +41,14 @@ if TYPE_CHECKING:
 # The kept-set count depends only on |R| and k, so it is charged before the
 # work and does not change with how successors are built; a unit per
 # half-table entry and joined candidate would charge 2.7 times as much on
-# small graphs.  Searched from one part, grid 5x5 solves in 37,449 units,
-# 545 of them for the union bound, which searches each U(j) only until it
-# knows whether j raises the bound.  The search expands one state per orbit
-# of the graph's automorphisms once a start's expansion costs more than n^2
-# units, and explored_states counts those orbit representatives: Q5 then
-# solves in 142,877 units, grid 6x6 in 422,297, grid 7x7 in 11,465,508 and
-# grid 5x5 deaf in 78,074,757.
+# small graphs.  Searched from one part, grid 5x5 solves in 37,039 units,
+# 135 of them for the union bound, which searches each U(j) only until it
+# knows whether j raises the bound, and not at all when a greedy prefix
+# shows it cannot.  The search expands one state per orbit of the graph's
+# automorphisms once a start's expansion costs more than n^2 units, and
+# explored_states counts those orbit representatives: Q5 then solves in
+# 142,134 units, grid 6x6 in 421,197, grid 7x7 in 11,462,784 and grid 5x5
+# deaf in 78,072,650.
 DEFAULT_BUDGET = 10**8
 
 CLEARED = "cleared"
@@ -134,6 +135,20 @@ def min_neighborhood_union(g: Graph, k: int, side: str = "all", variant: str = S
     return _min_union(_contributions(g, side, variant), k, 0, as_meter(budget))
 
 
+def _greedy(contrib: list[int]) -> tuple[list[int], list[int]]:
+    """The contributions in greedy order, each next one the one that grows
+    the running union least (ties to the larger overlap with it, then to the
+    lower vertex), with the union size of each prefix."""
+    left, order, sizes, union = list(contrib), [], [], 0
+    while left:
+        best = min(left, key=lambda c: ((union | c).bit_count(), -(union & c).bit_count()))
+        left.remove(best)
+        order.append(best)
+        union |= best
+        sizes.append(union.bit_count())
+    return order, sizes
+
+
 def lower_bound_union(g: Graph, variant: str = STANDARD,
                       budget: int | Meter = DEFAULT_BUDGET) -> int:
     """Least hunter count not excluded by the neighborhood-union argument:
@@ -147,26 +162,39 @@ def lower_bound_union(g: Graph, variant: str = STANDARD,
     holds U_odd(j) or more).  The per-part rule surplus(side) + 1 is not a
     bound: 2 on P3's odd part, which one hunter clears.
 
-    A j raises the bound only if every side's U(j) reaches bound + j, so
-    each side's search at j stops at the first j-union of bound + j - 1 or
-    fewer vertices, and once one side stops there the other side is not
-    searched: that j cannot raise the bound.  A search that runs to its end
-    finds the exact U(j).  Each j is decided in turn, raising
-    meter.lower_bound, so a budget exit reports the bound of the decided
-    prefix."""
+    A j raises the bound only if every side's U(j) reaches bound + j.  Each
+    side's vertices are put in greedy order (_greedy, O(|side|^2) and not
+    charged), whose prefix of j vertices is a j-union no smaller than U(j),
+    whatever the numbering.  A j where some side's prefix union is below
+    bound + j is decided with no search.  Otherwise the sides are searched
+    in that order, smallest prefix union first (even first on a tie); each
+    search stops at the first j-union of bound + j - 1 or fewer vertices,
+    and once one side stops there the other side is not searched.  A search
+    that runs to its end finds the exact U(j).  Each j is decided in turn,
+    raising meter.lower_bound, so a budget exit reports the bound of the
+    decided prefix."""
     meter = as_meter(budget)
     paired = variant == STANDARD and bipartition(g) is not None
-    sides = [_contributions(g, side, variant) for side in (("even", "odd") if paired else ("all",))]
+    sides = [_greedy(_contributions(g, side, variant))
+             for side in (("even", "odd") if paired else ("all",))]
     bound = 0
-    for j in range(1, min(map(len, sides)) + 1):
+    for j in range(1, min(len(order) for order, _ in sides) + 1):
+        if min(sizes[j - 1] for _, sizes in sides) < bound + j:
+            continue  # a greedy prefix shows j cannot raise the bound
         unions = []
-        for contrib in sides:
-            unions.append(_min_union(contrib, j, bound + j - 1, meter))
+        for order, _ in sorted(sides, key=lambda side: side[1][j - 1]):
+            unions.append(_min_union(order, j, bound + j - 1, meter))
             if unions[-1] < bound + j:
                 break  # j cannot raise the bound
         bound = max(bound, min(unions) - j + 1)
         meter.lower_bound = max(meter.lower_bound, bound)
     return bound
+
+
+def component_graphs(g: Graph) -> Iterator[Graph]:
+    """Each component of g as a graph of its own; g itself when connected."""
+    for comp in components(g):
+        yield g if comp == g.full_mask else induced_subgraph(g, comp)[0]
 
 
 def lower_bound(g: Graph, variant: str = STANDARD, budget: int | Meter = DEFAULT_BUDGET) -> int:
@@ -177,8 +205,7 @@ def lower_bound(g: Graph, variant: str = STANDARD, budget: int | Meter = DEFAULT
     its union bound runs, so a budget exit there reports it."""
     meter = as_meter(budget)
     bound = 0
-    for comp in components(g):
-        sub = g if comp == g.full_mask else induced_subgraph(g, comp)[0]
+    for sub in component_graphs(g):
         seed = max(1, degeneracy(sub))
         meter.lower_bound = max(meter.lower_bound, seed)
         bound = max(bound, seed, lower_bound_union(sub, variant, meter))

@@ -477,5 +477,12 @@ def random_graph(rng: random.Random, max_n: int = 8, p: float | None = None) -> 
     return graph_from_edges(n, edges)
 
 
+def relabelled(g: Graph, seed: int) -> Graph:
+    """g with its vertices renumbered by a seeded random permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def random_mask(rng: random.Random, n: int) -> int:
     return rng.randrange(1 << n) if n else 0

@@ -106,9 +106,11 @@ def test_solve_budget_exit_3(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("family, params, best", [("grid", ("5", "5"), 3),
+@pytest.mark.parametrize("family, params, best", [("grid", ("7", "7"), 3),
                                                   ("hypercube", ("5",), 7)])
 def test_small_budget_exits_quickly_with_phase_and_bound(tmp_path, capsys, family, params, best):
+    # grid 7x7's paired bound proves 3 after 360 units and 4 after 6,382
+    # (grid 5x5's proves 3 only at its last search, after 135)
     path = tmp_path / "g.graph"
     run_cli(capsys, "gen", family, *params, "-o", str(path))
     started = time.perf_counter()
@@ -134,16 +136,16 @@ def test_bounds_budget_exit_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "10")
     assert code == 3 and out == ""
     assert "bound phase" in err and "best lower bound 2" in err
-    # the paired bound takes 170 units, and its first few j prove 3
-    code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "169")
-    assert code == 3 and "best lower bound 3" in err
-    code, report = run_json(capsys, "bounds", str(path), "--budget", "170")
+    # the paired bound takes 68 units and proves 3 at its last search
+    code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "67")
+    assert code == 3 and "best lower bound 2" in err
+    code, report = run_json(capsys, "bounds", str(path), "--budget", "68")
     assert code == 0 and report["results"]["union_bound"] == 3
 
 
 def test_bounds_answers_on_q6(tmp_path, capsys):
     # each j is searched only until it is known whether it raises the bound:
-    # 1,313,889 units, where proving Q6's whole part profiles takes 88.3M
+    # 1,290,902 units, where proving Q6's whole part profiles takes 88.3M
     path = tmp_path / "q6.graph"
     run_cli(capsys, "gen", "hypercube", "6", "-o", str(path))
     code, report = run_json(capsys, "bounds", str(path), "--budget", "2000000")
@@ -152,7 +154,7 @@ def test_bounds_answers_on_q6(tmp_path, capsys):
 
 
 def test_deaf_solve_of_q5_passes_the_bound_phase(tmp_path, capsys):
-    # the closed bound of Q5 costs 661,987 units, and the search's first
+    # the closed bound of Q5 costs 645,451 units, and the search's first
     # expansion is charged past the budget left
     path = tmp_path / "q5.graph"
     run_cli(capsys, "gen", "hypercube", "5", "-o", str(path))
@@ -273,6 +275,17 @@ def test_bounds_q3_deaf(tmp_path, capsys):
     assert code == 0
     assert report["results"]["union_bound"] == 5
     assert report["results"]["mode"] == "closed"
+
+
+def test_bounds_takes_the_union_bound_per_component(tmp_path, capsys):
+    # on the whole graph the isolated vertex's U(1) = 0 pulls the bound to 4
+    path = tmp_path / "q4_and_a_vertex.graph"
+    path.write_text(format_graph(graph_from_edges(17, list(hypercube_graph(4).edges()))))
+    code, report = run_json(capsys, "bounds", str(path))
+    assert code == 0
+    assert report["results"] == {"mode": "open", "union_bound": 5, "degeneracy_bound": 4}
+    code, report = run_json(capsys, "solve", str(path))
+    assert code == 0 and report["results"]["lower_bound_used"] == 5
 
 
 def test_bounds_hypercube_upper_is_the_largest_weight_layer(tmp_path, capsys):

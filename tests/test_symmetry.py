@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import relabelled
 from huntrab import symmetry
 from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, run, verify
 from huntrab.graphs import (
@@ -22,12 +23,6 @@ from huntrab.graphs import (
 )
 from huntrab.solver import CLEARED, can_clear, hunter_number
 from huntrab.symmetry import _Path, automorphism_group
-
-
-def relabelled(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def complete_graph(n):
