@@ -5,7 +5,8 @@ The search treats each possible rabbit-position set as a state.  From state R
 the hunters shoot some H subset of R with |H| = min(k, |R|); shooting outside
 R is wasted and shooting fewer vertices is dominated, so this loses nothing.
 A state is clearable iff the empty set is reachable, and breadth-first
-layering gives a shortest witness.
+layering gives a shortest witness.  Of the states a layer admits, the next
+layer expands only those no later subset from the same layer replaced.
 
 In the standard game a rabbit on a connected bipartite graph alternates
 parts, so a start inside one part keeps every position set inside one part:
@@ -15,7 +16,6 @@ and extends the witness to every start by parity.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING, Iterator
@@ -41,14 +41,14 @@ if TYPE_CHECKING:
 # The kept-set count depends only on |R| and k, so it is charged before the
 # work and does not change with how successors are built; a unit per
 # half-table entry and joined candidate would charge 2.7 times as much on
-# small graphs.  Searched from one part, grid 5x5 solves in 37,039 units,
+# small graphs.  Searched from one part, grid 5x5 solves in 33,385 units,
 # 135 of them for the union bound, which searches each U(j) only until it
 # knows whether j raises the bound, and not at all when a greedy prefix
 # shows it cannot.  The search expands one state per orbit of the graph's
 # automorphisms once a start's expansion costs more than n^2 units, and
 # explored_states counts those orbit representatives: Q5 then solves in
-# 142,134 units, grid 6x6 in 421,197, grid 7x7 in 11,462,784 and grid 5x5
-# deaf in 78,072,650.
+# 52,434 units, grid 6x6 in 321,298, grid 7x7 in 9,456,774 and grid 5x5
+# deaf in 66,475,805.
 DEFAULT_BUDGET = 10**8
 
 CLEARED = "cleared"
@@ -329,8 +329,16 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     at k = 3: 513,046 kept sets, 1,636 distinct states); keep-first
     insertion puts each table in lexicographic first-reach order, so the
     successors and their shots come as enumerating the kept sets
-    lexicographically first reaches them.  Deterministic: FIFO expansion.
-    Expanding state R is charged C(|R|, k) units, one per kept set.
+    lexicographically first reaches them.  Expanding state R is charged
+    C(|R|, k) units, one per kept set.
+
+    The search runs layer by layer, each layer in the order its states were
+    admitted.  A state that a later subset admitted in the same layer drops
+    from the antichain is never expanded: that subset clears in no more
+    rounds and is expanded in the same layer, so the answer and the witness
+    length stay those of expanding every admitted state in FIFO order.  A
+    state dropped by a subset from a deeper layer is still expanded, since
+    skipping it could lengthen the witness.
 
     With a group of g's automorphisms that lists more than the identity,
     each fresh successor is replaced by its canonical form, the least image
@@ -356,30 +364,33 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     if canonical is not None:
         seen.add(canonical(start))
     minimal: list[int] = [start]
-    queue: deque[int] = deque([start])
+    layer = [start]
     explored = 0
-    while queue:
-        state = queue.popleft()
-        explored += 1
-        size = state.bit_count()
-        if size <= k:
-            return ClearResult(CLEARED, _witness(parents, state, state, group), explored)
-        meter.spend(comb(size, k), "search")
-        for raw, shot in _successors(adj, state, k, seen):
-            if raw == 0:
-                return ClearResult(CLEARED, _witness(parents, state, shot, group), explored)
-            nxt = raw
-            if canonical is not None:
-                nxt = canonical(raw)
-                if nxt != raw:
-                    if nxt in seen:
-                        continue  # its orbit was generated before
-                    seen.add(nxt)
-            if _dominated(minimal, nxt):
-                continue
-            parents[nxt] = (state, shot, raw)
-            _admit(minimal, nxt)
-            queue.append(nxt)
+    while layer:
+        admitted: list[int] = []
+        for state in layer:
+            explored += 1
+            size = state.bit_count()
+            if size <= k:
+                return ClearResult(CLEARED, _witness(parents, state, state, group), explored)
+            meter.spend(comb(size, k), "search")
+            for raw, shot in _successors(adj, state, k, seen):
+                if raw == 0:
+                    return ClearResult(CLEARED, _witness(parents, state, shot, group), explored)
+                nxt = raw
+                if canonical is not None:
+                    nxt = canonical(raw)
+                    if nxt != raw:
+                        if nxt in seen:
+                            continue  # its orbit was generated before
+                        seen.add(nxt)
+                if _dominated(minimal, nxt):
+                    continue
+                parents[nxt] = (state, shot, raw)
+                _admit(minimal, nxt)
+                admitted.append(nxt)
+        kept = set(minimal)
+        layer = [state for state in admitted if state in kept]
     return ClearResult(BLOCKED, None, explored)
 
 
@@ -402,7 +413,10 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     the witness plays the per-component witnesses in sequence (a cleared
     component stays empty while later components are driven).
     lower_bound_used is the max over components of the bound used, which is
-    lower_bound of the whole graph.
+    lower_bound of the whole graph.  explored_states counts the states the
+    searches expanded, summed over every hunter count tried; a state a later
+    subset in its layer replaced is admitted but not expanded, so it is not
+    counted.
 
     In the standard game a bipartite component with more than one vertex is
     searched from its even part only.  No other start needs more hunters:

@@ -14,11 +14,24 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from huntrab.cube import comb0
-from huntrab.dynamics import STANDARD, Strategy
+from huntrab.dynamics import STANDARD, Strategy, moves
 from huntrab.errors import InvalidParameterError
 from huntrab.graphs import Graph, bipartition, graph_from_edges, mask_of
 from huntrab.nesting import NestOrder, _bind, _segment_images, initial_segments, iter_weightlex
-from huntrab.solver import DEFAULT_BUDGET, Meter, _contributions, _min_union, as_meter
+from huntrab.solver import (
+    BLOCKED,
+    CLEARED,
+    DEFAULT_BUDGET,
+    ClearResult,
+    Meter,
+    _admit,
+    _contributions,
+    _dominated,
+    _min_union,
+    _successors,
+    _witness,
+    as_meter,
+)
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -431,6 +444,47 @@ def naive_can_clear(g: Graph, k: int, variant: str = "standard",
                     raise RuntimeError("reference search grew past its cap")
                 queue.append(nxt)
     return False
+
+
+def fifo_can_clear(g: Graph, k: int, variant: str = STANDARD, start: int | None = None,
+                   group=None) -> ClearResult:
+    """Reference dominance search that expands every admitted state in FIFO
+    order, also one a later subset dropped from the antichain: can_clear
+    before it expanded only each layer's antichain."""
+    adj = moves(g, variant)
+    if start is None:
+        start = g.full_mask
+    if start == 0:
+        return ClearResult(CLEARED, (), 0)
+    canonical = group.canonical if group is not None and len(group.elements) > 1 else None
+    parents = {start: (-1, 0, start)}
+    seen = {start}
+    if canonical is not None:
+        seen.add(canonical(start))
+    minimal = [start]
+    queue = deque([start])
+    explored = 0
+    while queue:
+        state = queue.popleft()
+        explored += 1
+        if state.bit_count() <= k:
+            return ClearResult(CLEARED, _witness(parents, state, state, group), explored)
+        for raw, shot in _successors(adj, state, k, seen):
+            if raw == 0:
+                return ClearResult(CLEARED, _witness(parents, state, shot, group), explored)
+            nxt = raw
+            if canonical is not None:
+                nxt = canonical(raw)
+                if nxt != raw:
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+            if _dominated(minimal, nxt):
+                continue
+            parents[nxt] = (state, shot, raw)
+            _admit(minimal, nxt)
+            queue.append(nxt)
+    return ClearResult(BLOCKED, None, explored)
 
 
 def naive_successors(adj: tuple[int, ...], state: int, k: int) -> list[tuple[int, int]]:

@@ -111,7 +111,7 @@ def test_criterion_5_exact_solver_matches_closed_form_on_cubes():
         for n in (1, 2, 3, 4):
             assert hunter_number(hypercube_graph(n)).hunter_number == cube_hunter_number(n)
         # the first cube past Q4 on the search route: the parity split and
-        # the orbit quotient need 142,134 units, 1,344 of them for the
+        # the orbit quotient need 52,434 units, 1,344 of them for the
         # paired bound
         q5 = hypercube_graph(5)
         result = hunter_number(q5)

@@ -27,6 +27,11 @@ def test_solve_families_verifies_every_witness(flags):
     assert len(rows) == 33
     assert not [line for line in rows if line.split()[-1] not in ("ok", "budget")]
     assert sum(line.endswith("ok") for line in rows) >= 20
+    # an ok row's units are the budget it spent: a whole number within it
+    assert lines[0].split()[-3:] == ["units", "group", "witness"]
+    for line in rows:
+        if line.endswith("ok"):
+            assert 0 <= int(line.split()[-3]) <= 20000, line
 
 
 def test_cube_table_closed_forms_match_the_scans():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import relabelled
+from conftest import fifo_can_clear, random_graph, relabelled
 from huntrab import symmetry
 from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, run, verify
 from huntrab.graphs import (
@@ -243,3 +243,44 @@ def test_solve_finds_the_group_only_for_a_costly_start(g, variant, listed):
     result = hunter_number(g, variant)
     assert result.group_order == listed
     assert isinstance(verify(g, result.witness), Caught)
+
+
+# ---------------------------------------------------------------------------
+# The layered search against the FIFO one
+
+
+def agree_with_fifo_search(g, variant, group):
+    """Every k up to the first that clears, with and without the group: the
+    same status and witness length as the FIFO search that expands every
+    admitted state, no more states expanded, and a witness that catches from
+    the start."""
+    parts = bipartition(g) if variant == STANDARD and g.n > 1 else None
+    start = g.full_mask if parts is None else parts.even
+    for k in range(1, g.n + 1):
+        for listed in (None, group):
+            fifo = fifo_can_clear(g, k, variant, start, listed)
+            layered = can_clear(g, k, variant, start=start, group=listed)
+            case = (list(g.edges()), variant, k, listed is not None)
+            assert layered.status == fifo.status, case
+            assert layered.explored <= fifo.explored, case
+            if fifo.status == CLEARED:
+                assert len(layered.shots) == len(fifo.shots), case
+                assert max((s.bit_count() for s in layered.shots), default=0) <= k, case
+                assert run(g, Strategy(layered.shots, variant), start).caught_at is not None, case
+        if fifo.status == CLEARED:
+            return
+
+
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+@pytest.mark.parametrize("g", QUOTIENT_CASES, ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_layered_search_matches_the_fifo_search(g, variant):
+    for seed in (None, 7):
+        h = g if seed is None else relabelled(g, seed)
+        agree_with_fifo_search(h, variant, automorphism_group(h))
+
+
+def test_layered_search_matches_the_fifo_search_on_random_graphs():
+    rng = random.Random(1919)
+    for _ in range(200):
+        g = random_graph(rng, 10, rng.choice([None, 0.3, 0.5]))
+        agree_with_fifo_search(g, rng.choice([STANDARD, DEAF]), automorphism_group(g))
