@@ -39,7 +39,6 @@ from .nesting import (
     NestOrder,
     builtin_order,
     grid_nest_order,
-    initial_segments,
     nest_strategy,
     weightlex_full_order,
     weightlex_nest_order,

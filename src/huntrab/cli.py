@@ -111,6 +111,7 @@ def _cmd_solve(args) -> tuple[dict | None, int]:
         "hunter_number": result.hunter_number,
         "variant": variant,
         "lower_bound_used": result.lower_bound_used,
+        "route": result.route,
         "explored_states": result.explored_states,
         "witness_steps": len(result.witness),
         "witness_caught_at": outcome.step,
@@ -146,10 +147,8 @@ def _cmd_strategy(args) -> tuple[dict, int]:
     digest = _digest(args.graph)
     g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
-    order = nesting.read_nest_order(args.order) if args.order else nesting.builtin_order(g, variant)
-    if order is None:
-        raise InvalidParameterError("the graph is not what gen writes for a hypercube, nor in the "
-                                    "standard game for a grid or path; give --order FILE")
+    order = (nesting.read_nest_order(args.order) if args.order
+             else nesting.nest_orders(g, variant)[0])
     if variant != order.variant:
         raise InvalidParameterError(f"the {variant} variant does not take a {order.kind}-kind order")
     # the count solve starts from: a lower bound, so a strategy that catches
@@ -312,7 +311,8 @@ COMMANDS = {
         "graph": {},
         "--order": {"metavar": "FILE",
                     "help": "nest-order file (default: the built-in order of a gen hypercube, "
-                            "or in the standard game of a gen grid or path)"},
+                            "or in the standard game of a gen grid or path, else one learned "
+                            "from the graph)"},
         "--hunters": {"type": int,
                       "help": "shots per round (default: the lower bound solve starts from)"},
         "--deaf": {"action": "store_true"},

@@ -7,6 +7,11 @@ tail of the current position set then keeps the set an initial segment and
 forces it to shrink, which yields an optimal strategy.  For the deaf rabbit
 a full order, one order on all vertices, plays the same role under closed
 neighborhoods.
+
+Any order gives a strategy: each round shoots the tail of the position set
+in the order, whether or not the set is an initial segment, and verify
+judges the result.  builtin_order names the order of a graph gen writes;
+nest_orders falls back to orders learned greedily from any graph.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Iterator
 
 from .dynamics import DEAF, STANDARD, Strategy, moves, step
 from .errors import FormatError, InvalidOrderError, InvalidParameterError, NonTerminatingError
-from .graphs import Graph, cube_dim, grid_graph, iter_bits, mask_of, side_mask
+from .graphs import Graph, bits, cube_dim, grid_graph, iter_bits, mask_of, side_mask
 
 BIPARTITE = "bipartite"
 FULL = "full"
@@ -65,12 +70,6 @@ class NestOrder:
         if seq is None:
             raise InvalidParameterError(f"order has no part {part!r}")
         return seq
-
-
-def initial_segments(order: NestOrder, part: str) -> list[int]:
-    """The first r vertices of the given part's order as a bitmask, for
-    r = 0..|part|, as one running union along the order."""
-    return list(accumulate((1 << v for v in order.sequence(part)), or_, initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +163,6 @@ def _bind(g: Graph, order: NestOrder) -> None:
             raise InvalidOrderError(f"order for side {side!r} does not hold exactly that side's vertices")
 
 
-def _segment_images(g: Graph, order: NestOrder, side: str) -> list[int]:
-    """The moves of the side's first k vertices for k = 1..|side|: N of each
-    initial segment, or N[ ] for a full order, as one running union along
-    the order."""
-    nbrs = moves(g, order.variant)
-    return list(accumulate((nbrs[v] for v in order.sequence(side)), or_))
-
-
-def _tail_shot(segments: list[int], r: int, m: int) -> int:
-    """Last m order positions of the current segment, padded forward to m
-    shots when fewer than m positions remain; segments as from initial_segments."""
-    top = min(len(segments) - 1, max(r, m))
-    return segments[top] ^ segments[max(0, top - m)]
-
-
 def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     """Shoot the last m nest-ordered vertices of the position set each round.
 
@@ -191,36 +175,80 @@ def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     strategy thus respects parity, and extend_parity turns it into one
     winning from any start; a full order's strategy starts from all of V.
 
-    Each round re-checks that the position set is an initial segment of the
-    active order and fails with InvalidOrderError otherwise; if the set stops
-    shrinking (m too small) the step limit raises NonTerminatingError.  The
-    empty graph takes m = 0, the count solve answers there, and no shot.
+    A position set of fewer than m vertices is shot whole, padded to m
+    shots with the first vertices of its side's order outside it.  On an
+    order that nests every position set is an initial segment, so each shot
+    is the segment's tail; on any other order the shots are still defined,
+    and verify decides whether they catch.  If the set is not empty after
+    4n rounds (m too small, or an order that drives no set down),
+    NonTerminatingError is raised.  The empty graph takes m = 0, the count
+    solve answers there, and no shot.
     """
     if m < min(1, g.n):
         raise InvalidParameterError("hunter count must be at least 1")
     _bind(g, order)
-    side = min(order.next_side, key=lambda s: max(
-        (nb.bit_count() - k for k, nb in enumerate(_segment_images(g, order, s), start=1)),
-        default=0))
-    segments = {s: initial_segments(order, s) for s in order.next_side}
     nbrs = moves(g, order.variant)
-    rabbit = segments[side][-1]
+    # N( ) of each initial segment, or N[ ] for a full order, as one running
+    # union along the order
+    side = min(order.next_side, key=lambda s: max(
+        (nb.bit_count() - k for k, nb in enumerate(
+            accumulate((nbrs[v] for v in order.sequence(s)), or_), start=1)),
+        default=0))
+    rabbit = side_mask(g, side)
     shots: list[int] = []
-    for _ in range(4 * g.n):
-        if rabbit == 0:
-            return Strategy(tuple(shots), order.variant)
-        r = rabbit.bit_count()
-        if rabbit != segments[side][r]:
-            raise InvalidOrderError(
-                f"position set is not an initial segment of the {side} order at step {len(shots) + 1}")
-        shot = _tail_shot(segments[side], r, m)
-        shots.append(shot)
-        rabbit = step(nbrs, rabbit, shot)
+    while rabbit and len(shots) < 4 * g.n:
+        # the side's order with the vertices outside the set reversed ahead
+        # of the set's own, so its last m are the set's tail, or the whole
+        # set and the first vertices after it
+        ranked = sorted(enumerate(order.sequence(side)),
+                        key=lambda pv: pv[0] if rabbit >> pv[1] & 1 else ~pv[0])
+        shots.append(mask_of(v for _, v in ranked[-m:]))
+        rabbit = step(nbrs, rabbit, shots[-1])
         side = order.next_side[side]
-    if rabbit == 0:
-        return Strategy(tuple(shots), order.variant)
-    raise NonTerminatingError(f"position set still has {rabbit.bit_count()} vertices "
-                              f"after {4 * g.n} rounds; {m} hunters are too few")
+    if rabbit:
+        raise NonTerminatingError(f"{m} hunters do not clear the graph along the order "
+                                  f"in {4 * g.n} rounds")
+    return Strategy(tuple(shots), order.variant)
+
+
+def nest_orders(g: Graph, variant: str) -> list[NestOrder]:
+    """The orders to try a nest strategy on: builtin_order's, or else the
+    orders learned from the graph, which hold for any vertex numbering.
+
+    A learned order takes the vertices of its lead side one at a time, each
+    next the one whose moves grow the running union least, ties to the
+    larger overlap with it, then to the smaller BFS distance from the first
+    vertex taken, then to the lower vertex.  In the deaf game the lead side
+    is all of V and the one order is full.  In the standard game each part
+    leads once, even first, and the other part follows in the order its
+    vertices enter the running union (by vertex within one step): two
+    bipartite orders.  A graph with no bipartition has no standard-game
+    order (InvalidParameterError).
+    """
+    builtin = builtin_order(g, variant)
+    if builtin:
+        return [builtin]
+    nbrs, orders = moves(g, variant), []
+    for lead in ("all",) if variant == DEAF else ("even", "odd"):
+        left = bits(side_mask(g, lead))
+        order, follow, union, dist = [], [], 0, [0] * g.n
+        while left:
+            # growing the union least, the larger overlap means more moves
+            v = min(left, key=lambda u: ((nbrs[u] & ~union).bit_count(), -nbrs[u].bit_count(),
+                                         dist[u]))
+            ball = 1 << v
+            for _ in range(0 if order else g.n):
+                # dist[u] ends as the count of balls around v that miss u
+                dist = [d + 1 - (ball >> u & 1) for u, d in enumerate(dist)]
+                ball |= step(g.adj, ball, 0)
+            left.remove(v)
+            order.append(v)
+            follow += bits(nbrs[v] & ~union)
+            union |= nbrs[v]
+        parts = (tuple(order), tuple(follow))[::-1 if lead == "odd" else 1]
+        orders.append(NestOrder(FULL, order_all=parts[0]) if lead == "all"
+                      else NestOrder(BIPARTITE, *parts))
+    return orders
 
 
 # ---------------------------------------------------------------------------

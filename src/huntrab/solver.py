@@ -12,6 +12,10 @@ In the standard game a rabbit on a connected bipartite graph alternates
 parts, so a start inside one part keeps every position set inside one part:
 hunter_number searches such a graph from one part, on states half the size,
 and extends the witness to every start by parity.
+
+Before it searches, hunter_number tries a sandwich: a nest strategy that
+catches with as many hunters as the lower bound proves that count exact,
+and the search runs only where no such strategy is found.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING, Iterator
 
-from .dynamics import STANDARD, Strategy, extend_parity, moves
-from .errors import BudgetExceededError, InvalidParameterError
+from .dynamics import STANDARD, Caught, Strategy, extend_parity, moves, verify
+from .errors import BudgetExceededError, InvalidParameterError, NonTerminatingError
 from .graphs import (
     Graph,
     bipartition,
@@ -32,6 +36,7 @@ from .graphs import (
     mask_of,
     side_mask,
 )
+from .nesting import nest_orders, nest_strategy
 
 if TYPE_CHECKING:
     from .symmetry import Group
@@ -41,14 +46,15 @@ if TYPE_CHECKING:
 # The kept-set count depends only on |R| and k, so it is charged before the
 # work and does not change with how successors are built; a unit per
 # half-table entry and joined candidate would charge 2.7 times as much on
-# small graphs.  Searched from one part, grid 5x5 solves in 33,385 units,
-# 135 of them for the union bound, which searches each U(j) only until it
-# knows whether j raises the bound, and not at all when a greedy prefix
-# shows it cannot.  The search expands one state per orbit of the graph's
-# automorphisms once a start's expansion costs more than n^2 units, and
-# explored_states counts those orbit representatives: Q5 then solves in
-# 52,434 units, grid 6x6 in 321,298, grid 7x7 in 9,456,774 and grid 5x5
-# deaf in 66,475,805.
+# small graphs.  A solve that a nest strategy answers spends only its union
+# bound, which searches each U(j) only until it knows whether j raises the
+# bound, and not at all when a greedy prefix shows it cannot: grid 5x5 135
+# units, Q5 1,344, grid 7x7 6,382, Q6 1,290,902 and Q5 deaf 645,451.  The
+# search alone, from one part, takes 33,385 units on grid 5x5.  It expands
+# one state per orbit of the graph's automorphisms once a start's expansion
+# costs more than n^2 units, and explored_states counts those orbit
+# representatives: searched, Q5 solves in 52,434 units, grid 6x6 in
+# 321,298, grid 7x7 in 9,456,774 and grid 5x5 deaf in 66,475,805.
 DEFAULT_BUDGET = 10**8
 
 CLEARED = "cleared"
@@ -402,29 +408,55 @@ class SolveResult:
     lower_bound_used: int
     # the order of the subgroup of automorphisms the search listed
     group_order: int = 1
+    # "sandwich" when every component's bound met a nest strategy, else "search"
+    route: str = "search"
+
+
+def _sandwich(g: Graph, variant: str, k: int) -> tuple[int, ...] | None:
+    """The shots of a nest strategy with k hunters on one of nest_orders
+    that catches from every start, or None; a bipartite order's strategy is
+    extended by parity first."""
+    for order in nest_orders(g, variant):
+        try:
+            strategy = nest_strategy(g, order, k)
+        except NonTerminatingError:
+            continue
+        if variant == STANDARD:
+            strategy = extend_parity(g, strategy)
+        if isinstance(verify(g, strategy), Caught):
+            return strategy.shots
+    return None
 
 
 def hunter_number(g: Graph, variant: str = STANDARD,
                   budget: int | Meter = DEFAULT_BUDGET) -> SolveResult:
     """Exact hunter number with a verifying witness strategy.
 
-    Each component is solved separately, iterating the hunter count upward
-    from its lower_bound; the final answer is the max over components and
-    the witness plays the per-component witnesses in sequence (a cleared
-    component stays empty while later components are driven).
-    lower_bound_used is the max over components of the bound used, which is
-    lower_bound of the whole graph.  explored_states counts the states the
-    searches expanded, summed over every hunter count tried; a state a later
-    subset in its layer replaced is admitted but not expanded, so it is not
-    counted.
+    Each component is solved separately from its lower_bound k; the final
+    answer is the max over components and the witness plays the
+    per-component witnesses in sequence (a cleared component stays empty
+    while later components are driven).  lower_bound_used is the max over
+    components of the bound used, which is lower_bound of the whole graph.
 
-    In the standard game a bipartite component with more than one vertex is
-    searched from its even part only.  No other start needs more hunters:
-    one empty shot moves the whole odd part onto the whole even part, as
-    every vertex has a neighbor.  The even-start witness W_e shoots only in
-    the part the even-start rabbit is on, never in the odd-start rabbit's,
-    so extend_parity plays W_e again, after an empty shot when len(W_e) is
-    even.  Every other component searches from V.
+    A component is first offered a sandwich: a nest strategy with k hunters
+    (_sandwich) that verify says catches from every start proves the
+    component needs exactly k, with no search.  This runs in the deaf game
+    and on bipartite components in the standard game.  Otherwise the
+    component is searched, iterating the hunter count upward from k.  route
+    is "sandwich" when no component searched, else "search";
+    explored_states counts the states the searches expanded, summed over
+    every hunter count tried, and is 0 on the sandwich route.  A state a
+    later subset in its layer replaced is admitted but not expanded, so it
+    is not counted.
+
+    In the standard game a bipartite component is searched from its even
+    part only.  No other start needs more hunters: one empty shot moves the
+    whole odd part onto the whole even part, as every vertex of a component
+    with an edge has a neighbor, and a lone vertex has no odd part.  The
+    even-start witness W_e shoots only in the part the even-start rabbit is
+    on, never in the odd-start rabbit's, so extend_parity plays W_e again,
+    after an empty shot when len(W_e) is even.  Every other component
+    searches from V.
 
     A component's automorphism group is found once, when the start's first
     expansion charge C(|start|, k) first exceeds n^2 for its n vertices,
@@ -442,7 +474,9 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     One budget covers the bounds and the searches of every component; when
     it runs out, the error carries the best hunter count proved so far,
     which counts the union bound of every decided prefix of j.  Finding
-    the group charges nothing: MAX_SEARCH_NODES bounds that search instead.
+    the group and building and verifying a sandwich charge nothing:
+    MAX_SEARCH_NODES bounds the group search, and a nest strategy is
+    polynomial in n.
     """
     meter = as_meter(budget)
     answer = bound_used = explored_total = 0
@@ -451,26 +485,29 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     for comp in components(g):
         sub, old = induced_subgraph(g, comp)
         k = lower_bound(sub, variant, meter)
-        parts = bipartition(sub) if variant == STANDARD and sub.n > 1 else None
-        start = None if parts is None else parts.even
-        start_size = sub.n if start is None else start.bit_count()
+        parts = bipartition(sub) if variant == STANDARD else None
         bound_used = max(bound_used, k)
-        group = None
-        while True:
-            meter.lower_bound = max(meter.lower_bound, k)
-            if group is None and comb(start_size, k) > sub.n ** 2:
-                # imported here, so a call that needs no group never loads it
-                from .symmetry import automorphism_group
+        shots = _sandwich(sub, variant, k) if parts or variant != STANDARD else None
+        if shots is None:
+            start = None if parts is None else parts.even
+            start_size = sub.n if start is None else start.bit_count()
+            group = None
+            while True:
+                meter.lower_bound = max(meter.lower_bound, k)
+                if group is None and comb(start_size, k) > sub.n ** 2:
+                    # imported here, so a call that needs no group never loads it
+                    from .symmetry import automorphism_group
 
-                group = automorphism_group(sub)
-                group_order = max(group_order, len(group.elements))
-            result = can_clear(sub, k, variant, meter, start, group)
-            explored_total += result.explored
-            if result.shots is not None:
-                break
-            k += 1  # blocked: k hunters provably insufficient
-        shots = result.shots if parts is None else extend_parity(sub, Strategy(result.shots)).shots
+                    group = automorphism_group(sub)
+                    group_order = max(group_order, len(group.elements))
+                result = can_clear(sub, k, variant, meter, start, group)
+                explored_total += result.explored
+                if result.shots is not None:
+                    break
+                k += 1  # blocked: k hunters provably insufficient
+            shots = (result.shots if parts is None
+                     else extend_parity(sub, Strategy(result.shots)).shots)
         all_shots.extend(mask_of(old[v] for v in bits(shot)) for shot in shots)
         answer = max(answer, k)
     return SolveResult(answer, Strategy(tuple(all_shots), variant), explored_total, bound_used,
-                       group_order)
+                       group_order, "search" if explored_total else "sandwich")

@@ -8,16 +8,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import pytest
+
+from huntrab import solver
 from huntrab.cube import comb0
-from huntrab.dynamics import STANDARD, Strategy, moves
-from huntrab.errors import InvalidParameterError
-from huntrab.graphs import Graph, bipartition, graph_from_edges, mask_of
-from huntrab.nesting import NestOrder, _bind, _segment_images, initial_segments, iter_weightlex
+from huntrab.dynamics import STANDARD, Strategy, moves, step
+from huntrab.errors import InvalidOrderError, InvalidParameterError, NonTerminatingError
+from huntrab.graphs import Graph, bipartition, graph_from_edges, mask_of, side_mask
+from huntrab.nesting import NestOrder, _bind, iter_weightlex
 from huntrab.solver import (
     BLOCKED,
     CLEARED,
@@ -360,6 +364,61 @@ def initial_even_segment(n: int, size: int) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
+# Initial segments: the nest strategy that shoots segment tails
+
+
+def initial_segments(order: NestOrder, part: str) -> list[int]:
+    """The first r vertices of the given part's order as a bitmask, for
+    r = 0..|part|, as one running union along the order."""
+    return list(itertools.accumulate((1 << v for v in order.sequence(part)), operator.or_,
+                                     initial=0))
+
+
+def tail_shot(segments: list[int], r: int, m: int) -> int:
+    """Last m order positions of the current segment, padded forward to m
+    shots when fewer than m positions remain; segments as from initial_segments."""
+    top = min(len(segments) - 1, max(r, m))
+    return segments[top] ^ segments[max(0, top - m)]
+
+
+def segment_images(g: Graph, order: NestOrder, side: str) -> list[int]:
+    """The moves of the side's first k vertices for k = 1..|side|: N of each
+    initial segment, or N[ ] for a full order."""
+    nbrs = moves(g, order.variant)
+    return list(itertools.accumulate((nbrs[v] for v in order.sequence(side)), operator.or_))
+
+
+def segment_nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
+    """Reference nest strategy: the driven side as nest_strategy picks it,
+    then each round the tail of the position set, which must be an initial
+    segment of the active order (InvalidOrderError otherwise), as
+    nest_strategy shot before it let verify judge other orders."""
+    if m < min(1, g.n):
+        raise InvalidParameterError("hunter count must be at least 1")
+    _bind(g, order)
+    side = min(order.next_side, key=lambda s: max(
+        (nb.bit_count() - k for k, nb in enumerate(segment_images(g, order, s), start=1)),
+        default=0))
+    segments = {s: initial_segments(order, s) for s in order.next_side}
+    nbrs = moves(g, order.variant)
+    rabbit = side_mask(g, side)
+    shots: list[int] = []
+    for _ in range(4 * g.n):
+        if rabbit == 0:
+            return Strategy(tuple(shots), order.variant)
+        r = rabbit.bit_count()
+        if rabbit != segments[side][r]:
+            raise InvalidOrderError(
+                f"position set is not an initial segment of the {side} order at step {len(shots) + 1}")
+        shots.append(tail_shot(segments[side], r, m))
+        rabbit = step(nbrs, rabbit, shots[-1])
+        side = order.next_side[side]
+    if rabbit == 0:
+        return Strategy(tuple(shots), order.variant)
+    raise NonTerminatingError(f"{m} hunters are too few")
+
+
+# ---------------------------------------------------------------------------
 # Isoperimetric nesting: the theorem's hypothesis, checked k by k
 
 
@@ -381,7 +440,7 @@ def check_isoperimetric_nesting(g: Graph, order: NestOrder,
     for side, image in order.next_side.items():
         profile = union_profile(g, side, order.variant, meter)
         segments = initial_segments(order, image)
-        for k, (minimum, nb) in enumerate(zip(profile, _segment_images(g, order, side)), start=1):
+        for k, (minimum, nb) in enumerate(zip(profile, segment_images(g, order, side)), start=1):
             size = nb.bit_count()
             if nb != segments[size]:
                 violations.append((side, k, "neighborhood of the segment is not an initial segment"))
@@ -485,6 +544,16 @@ def fifo_can_clear(g: Graph, k: int, variant: str = STANDARD, start: int | None 
             _admit(minimal, nxt)
             queue.append(nxt)
     return ClearResult(BLOCKED, None, explored)
+
+
+def searched_hunter_number(g: Graph, variant: str = STANDARD,
+                           budget: int | Meter = DEFAULT_BUDGET) -> solver.SolveResult:
+    """hunter_number with the sandwich route off, so every component is
+    searched: the search as solve ran it before a nest strategy could
+    answer first."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_sandwich", lambda *args: None)
+        return solver.hunter_number(g, variant, budget)
 
 
 def naive_successors(adj: tuple[int, ...], state: int, k: int) -> list[tuple[int, int]]:

@@ -14,7 +14,13 @@ from huntrab import cli, dynamics, graphs, solver
 from huntrab.cube import MAX_SEQ_DIM, cube_diff_seq
 from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, read_strategy, verify
 from huntrab.graphs import format_graph, graph_from_edges, hypercube_graph, read_graph, star_graph
-from huntrab.nesting import BIPARTITE, NestOrder, weightlex_nest_order, write_nest_order
+from huntrab.nesting import (
+    BIPARTITE,
+    NestOrder,
+    grid_nest_order,
+    weightlex_nest_order,
+    write_nest_order,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -154,13 +160,16 @@ def test_bounds_answers_on_q6(tmp_path, capsys):
 
 
 def test_deaf_solve_of_q5_passes_the_bound_phase(tmp_path, capsys):
-    # the closed bound of Q5 costs 645,451 units, and the search's first
-    # expansion is charged past the budget left
+    # the closed bound of Q5 costs 645,451 units; the search's first
+    # expansion would be charged past the budget left, but the weightlex
+    # strategy catches with the bound's 14 hunters and nothing is searched
     path = tmp_path / "q5.graph"
     run_cli(capsys, "gen", "hypercube", "5", "-o", str(path))
-    code, out, err = run_cli(capsys, "solve", str(path), "--deaf", "--budget", "1000000")
-    assert code == 3 and out == ""
-    assert "search phase" in err and "best lower bound 14" in err
+    code, report = run_json(capsys, "solve", str(path), "--deaf", "--budget", "1000000")
+    assert code == 0
+    results = report["results"]
+    assert (results["hunter_number"], results["lower_bound_used"]) == (14, 14)
+    assert (results["route"], results["explored_states"]) == ("sandwich", 0)
 
 
 def test_exit_codes_hold_under_python_O(tmp_path, capsys):
@@ -179,24 +188,31 @@ def test_exit_codes_hold_under_python_O(tmp_path, capsys):
 
 LAZY_IMPORT = """
 import sys
-from huntrab import cli
+from huntrab import cli, graphs
 
-c5, q5 = sys.argv[1:]
+c5, q5, petersen = sys.argv[1:]
 cli.main(["gen", "cycle", "5", "-o", c5])
 cli.main(["gen", "hypercube", "5", "-o", q5])
-for argv in (["cube", "3", "hun"], ["bounds", c5], ["solve", c5]):
+graphs.write_graph(graphs.graph_from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                           + [(i, i + 5) for i in range(5)]
+                                           + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]), petersen)
+for argv in (["cube", "3", "hun"], ["bounds", c5], ["solve", c5], ["solve", q5]):
     cli.main(argv)
 print("huntrab.symmetry" in sys.modules, file=sys.stderr)
-cli.main(["solve", q5])
+cli.main(["solve", petersen])
 print("huntrab.symmetry" in sys.modules, file=sys.stderr)
 """
 
 
 def test_only_a_solve_that_needs_the_group_imports_symmetry(tmp_path):
-    # compiling the module costs each CLI call about 3 ms of start-up
+    # compiling the module costs each CLI call about 3 ms of start-up.  Q5
+    # is answered by its weightlex strategy; the Petersen graph has no
+    # bipartition, so it is searched, and its start's first charge
+    # C(10, 4) = 210 exceeds 10^2
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    argv = [sys.executable, "-c", LAZY_IMPORT, str(tmp_path / "c5.graph"), str(tmp_path / "q5.graph")]
+    argv = [sys.executable, "-c", LAZY_IMPORT,
+            *(str(tmp_path / f"{name}.graph") for name in ("c5", "q5", "petersen"))]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stderr.split() == ["False", "True"]
@@ -440,21 +456,32 @@ def test_strategy_kind_variant_pairing(tmp_path, capsys):
         code, out, err = run_cli(capsys, "strategy", str(graph_path), *flags)
         assert code == 2 and out == "", flags
         assert message in err, flags
-    # a grid's built-in order is bipartite, so the deaf game has none
+    # a grid's built-in order is bipartite, so the deaf game takes the full
+    # order learned from the graph, which catches with the bound's count
     grid_path = tmp_path / "g24.graph"
     run_cli(capsys, "gen", "grid", "2", "4", "-o", str(grid_path))
-    code, out, err = run_cli(capsys, "strategy", str(grid_path), "--deaf")
+    code, report = run_json(capsys, "strategy", str(grid_path), "--deaf")
+    assert code == 0 and report["results"]["verified"] is True
+    assert report["results"]["hunters"] == solver.hunter_number(read_graph(str(grid_path)),
+                                                                DEAF).hunter_number
+    # the standard game learns no order on a graph with no bipartition
+    cycle_path = tmp_path / "c5.graph"
+    run_cli(capsys, "gen", "cycle", "5", "-o", str(cycle_path))
+    code, out, err = run_cli(capsys, "strategy", str(cycle_path))
     assert code == 2 and out == ""
-    assert "--order FILE" in err
+    assert "bipartite" in err
 
 
 @pytest.mark.parametrize("flags", [[], ["--deaf"]], ids=["standard", "deaf"])
-def test_strategy_on_the_empty_graph_exit_2(tmp_path, capsys, flags):
+def test_strategy_on_the_empty_graph_answers_0(tmp_path, capsys, flags):
+    # the learned order of the empty graph is empty; like solve, no hunter
+    # and no shot
     path = tmp_path / "empty.graph"
     path.write_text("0 0\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "strategy", str(path), *flags)
-    assert code == 2 and out == ""
-    assert "hypercube" in err
+    code, report = run_json(capsys, "strategy", str(path), *flags)
+    assert code == 0
+    results = report["results"]
+    assert (results["hunters"], results["steps"], results["verified"]) == (0, 0, True)
 
 
 def test_strategy_from_an_order_file_on_the_empty_graph(tmp_path, capsys):
@@ -535,14 +562,39 @@ def test_strategy_answers_past_the_nesting_check(tmp_path, capsys, family, param
     assert report["results"]["hunters"] == hunters and report["results"]["verified"] is True
 
 
+@pytest.mark.parametrize("family, params, flags, hunters", [
+    ("hypercube", (6,), [], 14),
+    ("grid", (8, 8), [], 5),
+    ("grid", (9, 9), [], 5),
+    ("hypercube", (5,), ["--deaf"], 14),
+], ids=["q6", "grid8x8", "grid9x9", "q5-deaf"])
+def test_solve_meets_the_bound_with_a_nest_strategy(tmp_path, capsys, family, params, flags,
+                                                     hunters):
+    # past the search's reach at the default budget (Q6 and Q5 --deaf exit 3
+    # in the search), the built-in order's strategy catches with the bound's
+    # count; solve's own check re-verifies it, and strategy verifies it too
+    path = tmp_path / "g.graph"
+    run_cli(capsys, "gen", family, *map(str, params), "-o", str(path))
+    code, report = run_json(capsys, "solve", str(path), *flags)
+    assert code == 0
+    results = report["results"]
+    assert (results["hunter_number"], results["lower_bound_used"]) == (hunters, hunters)
+    assert (results["route"], results["explored_states"]) == ("sandwich", 0)
+    code, report = run_json(capsys, "strategy", str(path), *flags)
+    assert code == 0
+    assert report["results"]["hunters"] == hunters and report["results"]["verified"] is True
+
+
 def test_strategy_without_hunters_exits_2_when_the_order_fails(tmp_path, capsys):
-    graph_path, order_path = tmp_path / "q4.graph", tmp_path / "q4.order"
-    run_cli(capsys, "gen", "hypercube", "4", "-o", str(graph_path))
-    good = weightlex_nest_order(hypercube_graph(4))
-    write_nest_order(NestOrder(BIPARTITE, good.order_even[::-1], good.order_odd), str(order_path))
+    # the path's parts swept in opposite directions: one hunter, the bound,
+    # drives no position set down along them
+    graph_path, order_path = tmp_path / "p7.graph", tmp_path / "p7.order"
+    run_cli(capsys, "gen", "path", "7", "-o", str(graph_path))
+    sweep = grid_nest_order(1, 7)
+    write_nest_order(NestOrder(BIPARTITE, sweep.order_even, sweep.order_odd[::-1]), str(order_path))
     code, out, err = run_cli(capsys, "strategy", str(graph_path), "--order", str(order_path))
     assert code == 2 and out == ""
-    assert "not an initial segment" in err and "step 2" in err
+    assert "in 28 rounds" in err
 
 
 def test_strategy_answers_a_nesting_with_unbalanced_sides(tmp_path, capsys):

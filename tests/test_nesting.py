@@ -1,6 +1,14 @@
 import pytest
 
-from conftest import check_isoperimetric_nesting, lex_key, surplus, union_profile, weightlex_key
+from conftest import (
+    check_isoperimetric_nesting,
+    initial_segments,
+    lex_key,
+    segment_nest_strategy,
+    surplus,
+    union_profile,
+    weightlex_key,
+)
 from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, moves, run, step, verify
 from huntrab.errors import (
     BudgetExceededError,
@@ -29,7 +37,6 @@ from huntrab.nesting import (
     format_nest_order,
     grid_key,
     grid_nest_order,
-    initial_segments,
     iter_weightlex,
     nest_strategy,
     parse_nest_order,
@@ -268,12 +275,49 @@ def test_nest_strategy_takes_no_hunter_only_on_the_empty_graph():
 
 
 def test_nest_strategy_detects_non_nesting_order():
+    # the oracle refuses a position set that is no initial segment; the
+    # strategy shoots the set's tail anyway and verify judges the result
     q3 = hypercube_graph(3)
     good = weightlex_nest_order(q3)
     scrambled = NestOrder(BIPARTITE, (good.order_even[1], good.order_even[0]) + good.order_even[2:],
                           good.order_odd)
     with pytest.raises(InvalidOrderError):
-        nest_strategy(q3, scrambled, 3)
+        segment_nest_strategy(q3, scrambled, 3)
+    strategy = nest_strategy(q3, scrambled, 3)
+    assert strategy.shots != nest_strategy(q3, good, 3).shots
+    assert isinstance(verify(q3, extend_parity(q3, strategy)), Caught)
+    # a path whose two parts are swept in opposite directions drives no set
+    # down with one hunter, which clears the path along the sweep
+    p7, sweep = path_graph(7), grid_nest_order(1, 7)
+    assert isinstance(verify(p7, extend_parity(p7, nest_strategy(p7, sweep, 1))), Caught)
+    with pytest.raises(NonTerminatingError):
+        nest_strategy(p7, NestOrder(BIPARTITE, sweep.order_even, sweep.order_odd[::-1]), 1)
+
+
+# every built-in order: Q0-Q6 in both games, and every grid or path of up
+# to 20 cells
+BUILTIN_CASES = ([(hypercube_graph(n), variant) for n in range(7) for variant in (STANDARD, DEAF)]
+                 + [(grid_graph(m, n), STANDARD) for m in range(1, 21) for n in range(1, 20 // m + 1)])
+
+
+def test_nest_strategy_shoots_the_segment_tails_on_every_builtin_order():
+    # wherever each position set is an initial segment, as on an order that
+    # nests, the shots are the oracle's, for every hunter count
+    for g, variant in BUILTIN_CASES:
+        order = builtin_order(g, variant)
+        compared = 0
+        for m in range(1, g.n + 1):
+            try:
+                expected = segment_nest_strategy(g, order, m)
+            except InvalidOrderError:
+                continue
+            except NonTerminatingError:
+                with pytest.raises(NonTerminatingError):
+                    nest_strategy(g, order, m)
+                continue
+            assert nest_strategy(g, order, m) == expected, (g.n, g.edge_count, variant, m)
+            compared += 1
+        assert compared, (g.n, g.edge_count, variant)
 
 
 def test_nest_strategy_deaf_q3():

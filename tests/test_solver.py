@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import reduce
 from itertools import accumulate
 from operator import or_
@@ -14,6 +15,7 @@ from conftest import (
     random_graph,
     random_mask,
     relabelled,
+    searched_hunter_number,
     surplus,
     union_profile,
 )
@@ -38,6 +40,7 @@ from huntrab.solver import (
     CLEARED,
     Meter,
     _min_union,
+    _sandwich,
     _successors,
     can_clear,
     hunter_number,
@@ -45,6 +48,8 @@ from huntrab.solver import (
     lower_bound_union,
     min_neighborhood_union,
 )
+
+from test_symmetry import QUOTIENT_CASES
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +550,13 @@ def test_hunter_number_budget_covers_the_bound_phase():
         hunter_number(grid_graph(4, 4), budget=67)
     assert exc.value.phase == "bound"
     assert exc.value.best_lower_bound == 2
+    # with 68 the sweep's strategy catches with 3 hunters, and nothing more
+    # is spent; the search's first expansion would not fit
+    meter = Meter(68)
+    result = hunter_number(grid_graph(4, 4), budget=meter)
+    assert (result.hunter_number, result.route, meter.spent) == (3, "sandwich", 68)
     with pytest.raises(BudgetExceededError) as exc:
-        hunter_number(grid_graph(4, 4), budget=68)
+        searched_hunter_number(grid_graph(4, 4), budget=68)
     assert exc.value.phase == "search"
 
 
@@ -637,3 +647,54 @@ def test_k_monotonicity_small_sample():
         for k in range(1, 3):
             if can_clear(g, k).status == CLEARED:
                 assert can_clear(g, k + 1).status == CLEARED
+
+
+# ---------------------------------------------------------------------------
+# The sandwich route: a nest strategy that meets the lower bound
+
+
+def agree_with_the_search(g, variant) -> str:
+    """The hunter number and bound of the search, a witness that catches
+    with at most h shots per round, and on the sandwich route no state
+    searched; returns the route."""
+    result = hunter_number(g, variant)
+    searched = searched_hunter_number(g, variant)
+    case = (list(g.edges()), variant)
+    assert result.hunter_number == searched.hunter_number, case
+    assert result.lower_bound_used == searched.lower_bound_used, case
+    assert result.witness.max_hunters <= result.hunter_number, case
+    assert isinstance(verify(g, result.witness), Caught), case
+    if result.route == "sandwich":
+        assert result.explored_states == 0 and result.hunter_number == result.lower_bound_used, case
+    else:
+        assert result.route == "search" and searched.route == "search", case
+    return result.route
+
+
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+def test_sandwich_answers_as_the_search_on_the_quotient_cases(variant):
+    routes = Counter(agree_with_the_search(g if seed is None else relabelled(g, seed), variant)
+                     for g in QUOTIENT_CASES for seed in (None, 1, 2, 3))
+    assert routes["sandwich"] >= 10, routes
+
+
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+def test_sandwich_answers_as_the_search_on_random_graphs(variant):
+    rng = random.Random(24)
+    routes = Counter(agree_with_the_search(random_graph(rng, 10), variant) for _ in range(200))
+    assert routes["sandwich"] and routes["search"], routes
+
+
+def test_the_search_answers_where_the_certificate_fails():
+    # a tree whose deaf hunter number is its bound 2, but whose learned
+    # order's strategy does not catch with 2 hunters
+    tree = graph_from_edges(6, [(0, 3), (0, 5), (1, 3), (2, 3), (2, 4)])
+    assert lower_bound(tree, DEAF) == 2 and _sandwich(tree, DEAF, 2) is None
+    result = hunter_number(tree, DEAF)
+    assert (result.hunter_number, result.route) == (2, "search") and result.explored_states > 0
+    # one searched component puts the whole solve on the search route
+    q3_and_tree = graph_from_edges(14, list(hypercube_graph(3).edges())
+                                   + [(8 + u, 8 + v) for u, v in tree.edges()])
+    result = hunter_number(q3_and_tree, DEAF)
+    assert (result.hunter_number, result.route) == (5, "search")
+    assert hunter_number(hypercube_graph(3), DEAF).route == "sandwich"
