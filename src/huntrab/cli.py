@@ -5,14 +5,17 @@ default, or a single JSON document with --json.  Both renderings carry the
 same values.  Exit codes: 0 success, 2 usage or parse error, 3 work budget
 exceeded (stderr names the phase and the best lower bound), 4 verification
 found an escape.
+
+A well-formed call is read from the COMMANDS table (_parse); argparse parses
+the rest, so its parser of every command writes all help and error text.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
+import re
 import sys
 import time
 
@@ -123,23 +126,30 @@ def _cmd_solve(args) -> tuple[dict | None, int]:
     return {"inputs": {"graph": digest}, "results": results, "warnings": []}, 0
 
 
-def _cmd_bounds(args) -> tuple[dict, int]:
+def _cmd_bounds(args) -> tuple[dict | None, int]:
     digest = _digest(args.graph)
     g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     degeneracy = graphs.degeneracy(g)
     meter = solver.Meter(args.budget, degeneracy)
-    results = {
-        "mode": "closed" if args.deaf else "open",
+    # Q^n, n >= 1, projects onto its weight path with the weight layers as
+    # fibers; taken first, so a budget exit in the union bound still names it
+    dim = None if args.deaf else graphs.cube_dim(g)
+    upper = cube_mod.cube_hunter_upper(dim) if dim else None
+    try:
         # per component, as solve takes it: an isolated vertex's U(1) = 0
         # would pull the whole graph's minima down
-        "union_bound": max((solver.lower_bound_union(sub, variant, meter)
-                            for sub in solver.component_graphs(g)), default=0),
-        "degeneracy_bound": degeneracy,
-    }
-    # Q^n, n >= 1, projects onto its weight path with the weight layers as fibers
-    if not args.deaf and (dim := graphs.cube_dim(g)):
-        results["hypercube_upper"] = cube_mod.cube_hunter_upper(dim)
+        union = max((solver.lower_bound_union(sub, variant, meter)
+                     for sub in solver.component_graphs(g)), default=0)
+    except BudgetExceededError as exc:
+        if upper is None:
+            raise
+        print(f"huntrab bounds: {exc}; hypercube_upper {upper}", file=sys.stderr)
+        return None, 3
+    results = {"mode": "closed" if args.deaf else "open", "union_bound": union,
+               "degeneracy_bound": degeneracy}
+    if upper is not None:
+        results["hypercube_upper"] = upper
     return {"inputs": {"graph": digest}, "results": results, "warnings": []}, 0
 
 
@@ -147,14 +157,22 @@ def _cmd_strategy(args) -> tuple[dict, int]:
     digest = _digest(args.graph)
     g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
-    order = (nesting.read_nest_order(args.order) if args.order
-             else nesting.nest_orders(g, variant)[0])
-    if variant != order.variant:
-        raise InvalidParameterError(f"the {variant} variant does not take a {order.kind}-kind order")
+    orders = ([nesting.read_nest_order(args.order)] if args.order
+              else nesting.nest_orders(g, variant))
+    if variant != orders[0].variant:
+        raise InvalidParameterError(
+            f"the {variant} variant does not take a {orders[0].kind}-kind order")
     # the count solve starts from: a lower bound, so a strategy that catches
     # with it is exact, and one that cannot catch raises (exit 2)
     m = solver.lower_bound(g, variant) if args.hunters is None else args.hunters
-    strategy = nesting.nest_strategy(g, order, m)
+    # the first order whose strategy finishes, as solve's sandwich tries them
+    for order in orders:
+        try:
+            strategy = nesting.nest_strategy(g, order, m)
+            break
+        except NonTerminatingError:
+            if order is orders[-1]:
+                raise
     results = {
         "variant": variant,
         "hunters": m,
@@ -333,19 +351,14 @@ COMMANDS = {
 }
 
 
-@functools.cache  # built on first use, not at import, and kept for the process
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of the given command, or of every command for None."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: the only source of help, usage and error text."""
     parser = argparse.ArgumentParser(
         prog="huntrab",
         description="Hunters-and-rabbits pursuit games: solve, bound, and build strategies.")
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    # the usage line lists every command even when one is registered; the
-    # full parser's default metavar is that string, and its errors say "command"
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else [command]:
-        func, help_, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flags, options in arguments.items():
             p.add_argument(*flags.split(), **options)
@@ -353,12 +366,71 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser gives a well-formed call, read from
+    COMMANDS; None sends any other call to argparse.
+
+    Well formed: leading --json flags, a command, then only its exact option
+    spellings, each valued one followed by a word (not starting with "-"),
+    and the positional words in one run: argparse fills positionals run by
+    run, so "cube 5 mun --side odd 3" is an error there.
+    """
+    start = next((i for i, arg in enumerate(argv) if arg != "--json"), len(argv))
+    if start == len(argv) or argv[start] not in COMMANDS:
+        return None
+    func, _help, arguments = COMMANDS[argv[start]]
+    values = {"json": start > 0, "command": argv[start], "func": func}
+    options, positionals = {}, []
+    for flags, spec in arguments.items():
+        spellings = flags.split()
+        if not spellings[0].startswith("-"):
+            positionals.append((flags, spec))
+            continue
+        long = next((s for s in spellings if s.startswith("--")), spellings[0])
+        dest = long.lstrip("-").replace("-", "_")
+        flag = spec.get("action") == "store_true"
+        values[dest] = spec.get("default", False if flag else None)
+        options.update(dict.fromkeys(spellings, (dest, flag, spec)))
+    words: list[str] = []
+    ended = False  # an option followed the positional words
+    tokens = iter(argv[start + 1:])
+    try:
+        for token in tokens:
+            if token in options:
+                dest, flag, spec = options[token]
+                values[dest] = True if flag else _value(spec, next(tokens, "-"))
+                ended = bool(words)
+            elif token.startswith("-") or ended:
+                return None
+            else:
+                words.append(token)
+        # argparse's greedy pattern over the run: one "A" per word
+        match = re.fullmatch("".join(f"(A{spec.get('nargs') or ''})" for _, spec in positionals),
+                             "A" * len(words))
+        if match is None:
+            return None
+        for (dest, spec), group in zip(positionals, match.groups()):
+            chunk, words = words[:len(group)], words[len(group):]
+            values[dest] = ([_value(spec, word) for word in chunk] if spec.get("nargs") == "+"
+                            else _value(spec, chunk[0]) if chunk else spec.get("default"))
+    except ValueError:
+        return None
+    return argparse.Namespace(**values)
+
+
+def _value(spec: dict, word: str):
+    """A word converted and checked as argparse does; ValueError for a
+    failure, or for a word starting with "-", which argparse may read as
+    an option."""
+    value = spec.get("type", str)(word)
+    if word.startswith("-") or value not in spec.get("choices", (value,)):
+        raise ValueError(word)
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the first argument other than --json names the command; when it names
-    # none (help, say), every command is registered
-    command = next((arg for arg in argv if arg != "--json"), None)
-    args = _build_parser(command if command in COMMANDS else None).parse_args(argv)
+    args = _parse(argv) or _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         body, code = args.func(args)

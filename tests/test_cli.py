@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,7 +11,10 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import relabelled
 from huntrab import cli, dynamics, graphs, solver
 from huntrab.cube import MAX_SEQ_DIM, cube_diff_seq
 from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, read_strategy, verify
@@ -147,6 +152,17 @@ def test_bounds_budget_exit_3(tmp_path, capsys):
     assert code == 3 and "best lower bound 2" in err
     code, report = run_json(capsys, "bounds", str(path), "--budget", "68")
     assert code == 0 and report["results"]["union_bound"] == 3
+
+
+def test_bounds_budget_exit_names_the_hypercube_upper(tmp_path, capsys):
+    # C(5, 2) = 10 costs nothing, so it is known before the union bound runs
+    path = tmp_path / "q5.graph"
+    run_cli(capsys, "gen", "hypercube", "5", "-o", str(path))
+    code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "100")
+    assert code == 3 and out == ""
+    assert err.endswith("after 32 units; best lower bound 5; hypercube_upper 10\n")
+    code, out, err = run_cli(capsys, "bounds", str(path), "--budget", "100", "--deaf")
+    assert code == 3 and "hypercube_upper" not in err
 
 
 def test_bounds_answers_on_q6(tmp_path, capsys):
@@ -597,6 +613,19 @@ def test_strategy_without_hunters_exits_2_when_the_order_fails(tmp_path, capsys)
     assert "in 28 rounds" in err
 
 
+def test_strategy_without_an_order_tries_every_learned_order(tmp_path, capsys):
+    # the even-lead order's strategy does not finish with 2 hunters here;
+    # the odd lead's does, as in solve's sandwich
+    path = tmp_path / "grid3x3.graph"
+    path.write_text(format_graph(relabelled(graphs.grid_graph(3, 3), 1)), encoding="utf-8")
+    code, report = run_json(capsys, "solve", str(path))
+    assert code == 0 and (report["results"]["hunter_number"], report["results"]["route"]) == (
+        2, "sandwich")
+    code, report = run_json(capsys, "strategy", str(path))
+    assert code == 0
+    assert report["results"]["hunters"] == 2 and report["results"]["verified"] is True
+
+
 def test_strategy_answers_a_nesting_with_unbalanced_sides(tmp_path, capsys):
     # the star's sides have union surpluses 3 (even) and 0 (odd); the
     # strategy drives the odd side and one hunter catches, as solve finds
@@ -759,7 +788,7 @@ def test_golden_reports_with_graph_input(tmp_path, capsys, name, family, params,
 
 
 # ---------------------------------------------------------------------------
-# Parsers: the invoked command's parser against the parser of all commands
+# Parsers: the table parse (cli._parse) against the full argparse parser
 
 PARSE_CASES = [
     ["gen", "grid", "3", "4", "-o", "g.graph"],
@@ -804,10 +833,94 @@ def test_readme_synopsis_names_exactly_the_registered_options():
         assert named[name] <= set().union(*options), name
 
 
+def test_the_table_uses_only_what_the_table_parse_reads():
+    for _func, _help, arguments in cli.COMMANDS.values():
+        for flags, spec in arguments.items():
+            assert set(spec) <= {"action", "type", "choices", "nargs", "default", "help", "metavar"}
+            assert spec.get("action", "store_true") == "store_true", flags
+            assert spec.get("nargs") in ((None,) if flags.startswith("-") else (None, "?", "+"))
+
+
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
 def test_command_parser_parses_like_the_full_parser(argv):
-    command = next(arg for arg in argv if arg != "--json")
-    assert cli._build_parser(command).parse_args(argv) == cli._build_parser().parse_args(argv)
+    args = cli._parse(argv)
+    assert args is not None and args == cli._build_parser().parse_args(argv)
+
+
+def full_parse(argv) -> argparse.Namespace | None:
+    """The full parser's namespace, or None where it prints help or an error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+SPELLINGS = sorted({spelling for _func, _help, arguments in cli.COMMANDS.values()
+                    for flags in arguments if flags.startswith("-") for spelling in flags.split()})
+# what the table parse must leave to argparse, or read exactly as it does
+NOISE = [*SPELLINGS, *(s[:-2] for s in SPELLINGS if len(s) > 4), *(s + "=3" for s in SPELLINGS),
+         "-og", "-o3", "-h", "--help", "--json", "--", "-", "-3", "-0", "", "x", "3", "even"]
+
+
+def words_for(spec: dict):
+    if "choices" in spec:
+        return st.sampled_from([str(choice) for choice in spec["choices"]])
+    return st.sampled_from(["0", "3", "12"] if spec.get("type") is int else ["g", "s", "x.graph"])
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A call well formed but for where its options fall (before, after or
+    splitting the positional words, some twice), plus up to two noise tokens."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus"]))
+    words, options = [], []
+    for flags, spec in cli.COMMANDS.get(command, (None, None, {}))[2].items():
+        if flags.startswith("-"):
+            for _ in range(draw(st.integers(0, 2))):
+                value = [] if spec.get("action") else [draw(words_for(spec))]
+                options.append([draw(st.sampled_from(flags.split())), *value])
+        else:
+            least, most = {"?": (0, 1), "+": (1, 3)}.get(spec.get("nargs"), (1, 1))
+            words += draw(st.lists(words_for(spec), min_size=least, max_size=most))
+    tokens = [[word] for word in words]
+    for option in options:
+        tokens.insert(draw(st.integers(0, len(tokens))), option)
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), [draw(st.sampled_from(NOISE))])
+    return [*draw(st.lists(st.just("--json"), max_size=2)), command,
+            *(token for group in tokens for token in group),
+            *draw(st.sampled_from([[], ["--json"]]))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_the_table_parse_declines_or_parses_like_the_full_parser(argv):
+    args = cli._parse(argv)
+    assert args is None or args == full_parse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "grid", "3", "-o", "g", "4"], ["cube", "5", "mun", "--side", "odd", "3"],
+    ["verify", "g", "--start", "odd", "s"], ["solve", "g", "--json"], ["solve", "g", "--dea"],
+    ["solve", "g", "--budget=7"], ["gen", "path", "5", "-og"], ["cube", "-3", "hun"],
+    ["solve", "g", "--budget"], ["strategy", "g", "--out", "--deaf"], ["cube", "5", "hun", "x"],
+    ["solve", "g", "-h"], ["--js", "solve", "g"], ["cube", "5"],
+], ids=" ".join)
+def test_the_table_parse_declines_what_it_does_not_read(argv):
+    # the first two are argparse errors: it fills positionals run by run
+    assert cli._parse(argv) is None
+
+
+def test_every_benchmark_call_takes_the_table_parse(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        for op in workloads.build(name, 1, str(tmp_path / name)):
+            argv = ["--json", *op.argv]
+            args = cli._parse(argv)
+            assert args is not None and args == cli._build_parser().parse_args(argv), argv
 
 
 def exit_outcome(capsys, parse, argv) -> tuple[int, str, str]:
@@ -833,7 +946,7 @@ def test_command_errors_name_the_command_argument(capsys):
     assert err.endswith("error: the following arguments are required: command\n")
 
 
-def test_a_command_registers_only_its_own_parser(tmp_path, capsys, monkeypatch):
+def test_a_well_formed_call_registers_no_parser(tmp_path, capsys, monkeypatch):
     path = tmp_path / "k2.graph"
     path.write_text(format_graph(graph_from_edges(2, [(0, 1)])))
     registered = []
@@ -844,10 +957,8 @@ def test_a_command_registers_only_its_own_parser(tmp_path, capsys, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
-    cli._build_parser.cache_clear()
-    try:
-        code, _, _ = run_cli(capsys, "solve", str(path))
-    finally:
-        cli._build_parser.cache_clear()
+    code, _, _ = run_cli(capsys, "solve", str(path))
     assert code == 0
-    assert registered == ["solve"]
+    assert registered == []
+    run_cli(capsys, "solve", str(path), "--budget=100")  # argparse reads "=" forms
+    assert registered == list(cli.COMMANDS)

@@ -481,6 +481,20 @@ def test_hunter_number_oracle_values():
     assert q3.lower_bound_used == 3
 
 
+def test_hunter_number_of_grids_is_the_outside_value():
+    # h(grid m x n) = floor(min(m, n) / 2) + 1 in the standard game: to our
+    # knowledge the grid theorem of Abramovskaya, Fomin, Golovach and
+    # Pilipczuk, "How to hunt an invisible rabbit on a graph" (European J.
+    # Combin., 2016); the statement was not checked against that paper
+    for m in range(1, 9):
+        for n in range(m, 9):
+            assert hunter_number(grid_graph(m, n)).hunter_number == m // 2 + 1, (m, n)
+    for m in range(1, 6):
+        for n in range(m, 7):
+            g = relabelled(grid_graph(m, n), 10 * m + n)
+            assert hunter_number(g).hunter_number == m // 2 + 1, (m, n)
+
+
 def test_hunter_number_deaf_examples():
     assert hunter_number(path_graph(4), DEAF).hunter_number == 2
     assert hunter_number(cycle_graph(5), DEAF).hunter_number == 3
