@@ -37,7 +37,6 @@ from .graphs import (
 )
 from .nesting import (
     NestOrder,
-    builtin_order,
     grid_nest_order,
     nest_strategy,
     weightlex_full_order,

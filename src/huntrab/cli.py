@@ -157,21 +157,23 @@ def _cmd_strategy(args) -> tuple[dict, int]:
     digest = _digest(args.graph)
     g = graphs.read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
-    orders = ([nesting.read_nest_order(args.order)] if args.order
-              else nesting.nest_orders(g, variant))
-    if variant != orders[0].variant:
-        raise InvalidParameterError(
-            f"the {variant} variant does not take a {orders[0].kind}-kind order")
+    orders = iter([nesting.read_nest_order(args.order)] if args.order
+                  else nesting.nest_orders(g, variant))
+    # before the bound: a graph with no bipartition has no standard-game order (exit 2)
+    order = next(orders)
+    if args.order and variant != order.variant:
+        raise InvalidParameterError(f"the {variant} variant does not take a {order.kind}-kind order")
     # the count solve starts from: a lower bound, so a strategy that catches
     # with it is exact, and one that cannot catch raises (exit 2)
     m = solver.lower_bound(g, variant) if args.hunters is None else args.hunters
     # the first order whose strategy finishes, as solve's sandwich tries them
-    for order in orders:
+    while True:
         try:
             strategy = nesting.nest_strategy(g, order, m)
             break
         except NonTerminatingError:
-            if order is orders[-1]:
+            order = next(orders, None)
+            if order is None:
                 raise
     results = {
         "variant": variant,
@@ -328,9 +330,8 @@ COMMANDS = {
     "strategy": (_cmd_strategy, "build a nest-order strategy", {
         "graph": {},
         "--order": {"metavar": "FILE",
-                    "help": "nest-order file (default: the built-in order of a gen hypercube, "
-                            "or in the standard game of a gen grid or path, else one learned "
-                            "from the graph)"},
+                    "help": "nest-order file (default: the first order whose strategy finishes, "
+                            "of weightlex on a gen hypercube and the orders learned from the graph)"},
         "--hunters": {"type": int,
                       "help": "shots per round (default: the lower bound solve starts from)"},
         "--deaf": {"action": "store_true"},

@@ -264,6 +264,17 @@ def components(g: Graph) -> list[int]:
     return out
 
 
+def distances(g: Graph, a: int) -> list[int]:
+    """BFS distance from a to each vertex, g.n for a vertex out of reach."""
+    dist, frontier, seen, d = [g.n] * g.n, 1 << a, 1 << a, 0
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
+            dist[v], nxt = d, nxt | g.adj[v]
+        frontier, seen, d = nxt & ~seen, seen | nxt, d + 1
+    return dist
+
+
 def induced_subgraph(g: Graph, vset: int) -> tuple[Graph, list[int]]:
     """Subgraph induced by vset plus the new-index -> old-index map."""
     old = bits(vset)

@@ -10,8 +10,8 @@ neighborhoods.
 
 Any order gives a strategy: each round shoots the tail of the position set
 in the order, whether or not the set is an initial segment, and verify
-judges the result.  builtin_order names the order of a graph gen writes;
-nest_orders falls back to orders learned greedily from any graph.
+judges the result.  nest_orders makes the orders to try, one at a time:
+weightlex on a gen hypercube, then orders that ignore the numbering.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .dynamics import DEAF, STANDARD, Strategy, moves, step
 from .errors import FormatError, InvalidOrderError, InvalidParameterError, NonTerminatingError
-from .graphs import Graph, bits, cube_dim, grid_graph, iter_bits, mask_of, side_mask
+from .graphs import Graph, bits, cube_dim, distances, grid_graph, iter_bits, mask_of, side_mask
 
 BIPARTITE = "bipartite"
 FULL = "full"
@@ -115,42 +115,24 @@ def weightlex_full_order(g: Graph) -> NestOrder:
     return NestOrder(FULL, order_all=tuple(iter_weightlex(_cube_ground(g))))
 
 
-def grid_key(cell: tuple[int, int]):
-    """Diagonal sweep order on grid cells: by x+y, ties by smaller x."""
-    x, y = cell
-    return (x + y, x)
+def _anchor_order(g: Graph, variant: str, a: int, b: int) -> NestOrder:
+    """Each side sorted by (d(a, v), d(b, v), v) in BFS distances d: the full
+    order in the deaf game, the two part orders in the standard game."""
+    da, db = distances(g, a), distances(g, b)
+    ranked = sorted(range(g.n), key=lambda v: (da[v], db[v], v))
+    masks = [side_mask(g, side) for side in (("all",) if variant == DEAF else ("even", "odd"))]
+    parts = [tuple(v for v in ranked if mask >> v & 1) for mask in masks]
+    return NestOrder(FULL, order_all=parts[0]) if variant == DEAF else NestOrder(BIPARTITE, *parts)
 
 
 def grid_nest_order(m: int, n: int) -> NestOrder:
-    """Diagonal sweep order for the m-by-n grid (vertex (r,c) = r*n + c).
-
-    The x coordinate of the sweep runs along the longer grid dimension; with
-    the shorter dimension as x the neighborhood of an initial segment fails
-    to achieve the minimum already at single vertices.
-    """
+    """Diagonal sweep order for the m-by-n grid (vertex (r,c) = r*n + c): the
+    anchor order from corner 0 and the corner along the shorter side, so the
+    sweep runs along the longer side; along the shorter one the neighborhood
+    of an initial segment misses the minimum already at single vertices."""
     if m < 1 or n < 1:
         raise InvalidParameterError("grid dimensions must be positive")
-    cells = [(r, c) for r in range(m) for c in range(n)]
-    coord = (lambda rc: (rc[1], rc[0])) if n >= m else (lambda rc: (rc[0], rc[1]))
-    cells.sort(key=lambda rc: grid_key(coord(rc)))
-    even = tuple(r * n + c for r, c in cells if (r + c) % 2 == 0)
-    odd = tuple(r * n + c for r, c in cells if (r + c) % 2 == 1)
-    return NestOrder(BIPARTITE, even, odd)
-
-
-def builtin_order(g: Graph, variant: str) -> NestOrder | None:
-    """The nest order of a graph equal to what gen writes, or None: weightlex
-    on a hypercube (the full order in the deaf game) and, in the standard game
-    only, the diagonal sweep on a grid_graph(m, n), paths being m = 1."""
-    if cube_dim(g) is not None:
-        return weightlex_full_order(g) if variant == DEAF else weightlex_nest_order(g)
-    if variant == STANDARD:
-        for m in range(1, g.n + 1):
-            n, rest = divmod(g.n, m)
-            # an m-by-n grid has 2mn - m - n edges, counted before it is built
-            if not rest and g.edge_count == 2 * g.n - m - n and g == grid_graph(m, n):
-                return grid_nest_order(m, n)
-    return None
+    return _anchor_order(grid_graph(m, n), STANDARD, 0, (m - 1) * n if m <= n else n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +193,10 @@ def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     return Strategy(tuple(shots), order.variant)
 
 
-def nest_orders(g: Graph, variant: str) -> list[NestOrder]:
-    """The orders to try a nest strategy on: builtin_order's, or else the
-    orders learned from the graph, which hold for any vertex numbering.
+def nest_orders(g: Graph, variant: str) -> Iterator[NestOrder]:
+    """The orders to try a nest strategy on, made one at a time: weightlex
+    on what gen writes for a hypercube, then the learned orders and the
+    anchor orders, which ignore the vertex numbering.
 
     A learned order takes the vertices of its lead side one at a time, each
     next the one whose moves grow the running union least, ties to the
@@ -224,11 +207,14 @@ def nest_orders(g: Graph, variant: str) -> list[NestOrder]:
     vertices enter the running union (by vertex within one step): two
     bipartite orders.  A graph with no bipartition has no standard-game
     order (InvalidParameterError).
+
+    An anchor order is _anchor_order(a, b) for a the first vertex of least
+    degree and b each other least-degree vertex nearest to a (else a).  On
+    a grid these are corners along the shorter side: grid_nest_order's sweep.
     """
-    builtin = builtin_order(g, variant)
-    if builtin:
-        return [builtin]
-    nbrs, orders = moves(g, variant), []
+    if cube_dim(g) is not None:
+        yield weightlex_full_order(g) if variant == DEAF else weightlex_nest_order(g)
+    nbrs = moves(g, variant)
     for lead in ("all",) if variant == DEAF else ("even", "odd"):
         left = bits(side_mask(g, lead))
         order, follow, union, dist = [], [], 0, [0] * g.n
@@ -236,19 +222,20 @@ def nest_orders(g: Graph, variant: str) -> list[NestOrder]:
             # growing the union least, the larger overlap means more moves
             v = min(left, key=lambda u: ((nbrs[u] & ~union).bit_count(), -nbrs[u].bit_count(),
                                          dist[u]))
-            ball = 1 << v
-            for _ in range(0 if order else g.n):
-                # dist[u] ends as the count of balls around v that miss u
-                dist = [d + 1 - (ball >> u & 1) for u, d in enumerate(dist)]
-                ball |= step(g.adj, ball, 0)
+            if not order:
+                dist = distances(g, v)
             left.remove(v)
             order.append(v)
             follow += bits(nbrs[v] & ~union)
             union |= nbrs[v]
         parts = (tuple(order), tuple(follow))[::-1 if lead == "odd" else 1]
-        orders.append(NestOrder(FULL, order_all=parts[0]) if lead == "all"
-                      else NestOrder(BIPARTITE, *parts))
-    return orders
+        yield NestOrder(FULL, order_all=parts[0]) if lead == "all" else NestOrder(BIPARTITE, *parts)
+    if g.n:
+        a = min(range(g.n), key=g.degree)
+        ends = [v for v in range(g.n) if v != a and g.degree(v) == g.degree(a)] or [a]
+        da = distances(g, a)
+        near = min(da[v] for v in ends)
+        yield from (_anchor_order(g, variant, a, b) for b in ends if da[b] == near)
 
 
 # ---------------------------------------------------------------------------

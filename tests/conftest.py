@@ -18,10 +18,10 @@ import pytest
 
 from huntrab import solver
 from huntrab.cube import comb0
-from huntrab.dynamics import STANDARD, Strategy, moves, step
+from huntrab.dynamics import DEAF, STANDARD, Strategy, moves, step
 from huntrab.errors import InvalidOrderError, InvalidParameterError, NonTerminatingError
-from huntrab.graphs import Graph, bipartition, graph_from_edges, mask_of, side_mask
-from huntrab.nesting import NestOrder, _bind, iter_weightlex
+from huntrab.graphs import Graph, bipartition, bits, graph_from_edges, mask_of, side_mask
+from huntrab.nesting import BIPARTITE, FULL, NestOrder, _bind, iter_weightlex
 from huntrab.solver import (
     BLOCKED,
     CLEARED,
@@ -416,6 +416,50 @@ def segment_nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     if rabbit == 0:
         return Strategy(tuple(shots), order.variant)
     raise NonTerminatingError(f"{m} hunters are too few")
+
+
+# ---------------------------------------------------------------------------
+# Nest orders as the library built them before the anchor orders
+
+
+def sweep_grid_order(m: int, n: int) -> NestOrder:
+    """Diagonal sweep of the m-by-n grid (vertex (r,c) = r*n + c) by grid
+    coordinates: cells by x + y, ties to the smaller x, where x runs along
+    the longer grid dimension (the columns of a square grid)."""
+    def grid_key(cell: tuple[int, int]) -> tuple[int, int]:
+        x, y = cell
+        return (x + y, x)
+
+    cells = [(r, c) for r in range(m) for c in range(n)]
+    coord = (lambda rc: (rc[1], rc[0])) if n >= m else (lambda rc: (rc[0], rc[1]))
+    cells.sort(key=lambda rc: grid_key(coord(rc)))
+    even = tuple(r * n + c for r, c in cells if (r + c) % 2 == 0)
+    odd = tuple(r * n + c for r, c in cells if (r + c) % 2 == 1)
+    return NestOrder(BIPARTITE, even, odd)
+
+
+def greedy_orders(g: Graph, variant: str) -> list[NestOrder]:
+    """The learned orders of nest_orders, with the BFS tie-break counted as
+    the balls around the first vertex taken that miss each vertex."""
+    nbrs, orders = moves(g, variant), []
+    for lead in ("all",) if variant == DEAF else ("even", "odd"):
+        left = bits(side_mask(g, lead))
+        order, follow, union, dist = [], [], 0, [0] * g.n
+        while left:
+            v = min(left, key=lambda u: ((nbrs[u] & ~union).bit_count(), -nbrs[u].bit_count(),
+                                         dist[u]))
+            ball = 1 << v
+            for _ in range(0 if order else g.n):
+                dist = [d + 1 - (ball >> u & 1) for u, d in enumerate(dist)]
+                ball |= step(g.adj, ball, 0)
+            left.remove(v)
+            order.append(v)
+            follow += bits(nbrs[v] & ~union)
+            union |= nbrs[v]
+        parts = (tuple(order), tuple(follow))[::-1 if lead == "odd" else 1]
+        orders.append(NestOrder(FULL, order_all=parts[0]) if lead == "all"
+                      else NestOrder(BIPARTITE, *parts))
+    return orders
 
 
 # ---------------------------------------------------------------------------

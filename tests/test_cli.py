@@ -451,7 +451,7 @@ def test_strategy_from_order_file(tmp_path, capsys):
     assert report["results"]["hunters"] == 3
 
 
-def test_strategy_kind_variant_pairing(tmp_path, capsys):
+def test_strategy_kind_variant_pairing(tmp_path, capsys, monkeypatch):
     from huntrab.nesting import weightlex_full_order, write_nest_order
 
     graph_path = tmp_path / "q3.graph"
@@ -472,17 +472,19 @@ def test_strategy_kind_variant_pairing(tmp_path, capsys):
         code, out, err = run_cli(capsys, "strategy", str(graph_path), *flags)
         assert code == 2 and out == "", flags
         assert message in err, flags
-    # a grid's built-in order is bipartite, so the deaf game takes the full
-    # order learned from the graph, which catches with the bound's count
+    # the deaf game takes a full order learned from the grid, which catches
+    # with the bound's count
     grid_path = tmp_path / "g24.graph"
     run_cli(capsys, "gen", "grid", "2", "4", "-o", str(grid_path))
     code, report = run_json(capsys, "strategy", str(grid_path), "--deaf")
     assert code == 0 and report["results"]["verified"] is True
     assert report["results"]["hunters"] == solver.hunter_number(read_graph(str(grid_path)),
                                                                 DEAF).hunter_number
-    # the standard game learns no order on a graph with no bipartition
+    # the standard game learns no order on a graph with no bipartition, and
+    # says so before it bounds anything
     cycle_path = tmp_path / "c5.graph"
     run_cli(capsys, "gen", "cycle", "5", "-o", str(cycle_path))
+    monkeypatch.setattr(solver, "lower_bound", lambda *args: pytest.fail("bounded first"))
     code, out, err = run_cli(capsys, "strategy", str(cycle_path))
     assert code == 2 and out == ""
     assert "bipartite" in err
@@ -544,9 +546,10 @@ def test_routes_agree_on_q0(tmp_path, capsys):
         assert report["results"]["hunters"] == 1 and report["results"]["verified"] is True
 
 
-# every graph with a built-in order that solve answers within seconds: Q0-Q4
-# in both games, and in the standard game every grid and path of up to 20
-# cells, the sweeps that are no nesting (1x4, 3x4, 4x4, 3x6, ...) included
+# every gen graph with a nesting or sweep order that solve answers within
+# seconds: Q0-Q4 in both games, and in the standard game every grid and path
+# of up to 20 cells, the sweeps that are no nesting (1x4, 3x4, 4x4, 3x6, ...)
+# included
 ROUTE_CASES = ([("hypercube", (n,), flags) for n in range(5) for flags in ([], ["--deaf"])]
                + [("grid", (m, n), []) for m in range(1, 21) for n in range(1, 20 // m + 1)])
 
@@ -578,19 +581,23 @@ def test_strategy_answers_past_the_nesting_check(tmp_path, capsys, family, param
     assert report["results"]["hunters"] == hunters and report["results"]["verified"] is True
 
 
-@pytest.mark.parametrize("family, params, flags, hunters", [
-    ("hypercube", (6,), [], 14),
-    ("grid", (8, 8), [], 5),
-    ("grid", (9, 9), [], 5),
-    ("hypercube", (5,), ["--deaf"], 14),
-], ids=["q6", "grid8x8", "grid9x9", "q5-deaf"])
-def test_solve_meets_the_bound_with_a_nest_strategy(tmp_path, capsys, family, params, flags,
+@pytest.mark.parametrize("family, params, seed, flags, hunters", [
+    ("hypercube", (6,), None, [], 14),
+    ("grid", (8, 8), None, [], 5),
+    ("grid", (9, 9), None, [], 5),
+    ("grid", (9, 9), 1, [], 5),
+    ("hypercube", (5,), None, ["--deaf"], 14),
+], ids=["q6", "grid8x8", "grid9x9", "grid9x9-relabelled", "q5-deaf"])
+def test_solve_meets_the_bound_with_a_nest_strategy(tmp_path, capsys, family, params, seed, flags,
                                                      hunters):
     # past the search's reach at the default budget (Q6 and Q5 --deaf exit 3
-    # in the search), the built-in order's strategy catches with the bound's
-    # count; solve's own check re-verifies it, and strategy verifies it too
+    # in the search), a strategy on one of the nest orders catches with the
+    # bound's count, on gen's numbering or another; solve's own check
+    # re-verifies it, and strategy verifies it too
     path = tmp_path / "g.graph"
     run_cli(capsys, "gen", family, *map(str, params), "-o", str(path))
+    if seed is not None:
+        path.write_text(format_graph(relabelled(read_graph(str(path)), seed)), encoding="utf-8")
     code, report = run_json(capsys, "solve", str(path), *flags)
     assert code == 0
     results = report["results"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_degeneracy, clearing_bits, random_mask
+from conftest import adjacency_sets, brute_degeneracy, clearing_bits, random_mask
 from huntrab.dynamics import DEAF, STANDARD, moves, step
 from huntrab.errors import CapacityError, FormatError, InvalidParameterError
 from huntrab.graphs import (
@@ -14,6 +14,7 @@ from huntrab.graphs import (
     components,
     cycle_graph,
     degeneracy,
+    distances,
     format_graph,
     graph_from_edges,
     grid_graph,
@@ -215,6 +216,29 @@ def test_components():
     h = graph_from_edges(5, [(0, 1), (2, 3), (3, 4)])
     assert components(h) == [mask_of([0, 1]), mask_of([2, 3, 4])]
     assert components(graph_from_edges(0, [])) == []
+
+
+def list_bfs(g: Graph, a: int) -> list[int]:
+    """Distances from a by a queue of vertex lists, g.n out of reach."""
+    adj, dist, queue = adjacency_sets(g), {a: 0}, [a]
+    for u in queue:
+        for v in sorted(adj[u] - dist.keys()):
+            dist[v] = dist[u] + 1
+            queue.append(v)
+    return [dist.get(v, g.n) for v in range(g.n)]
+
+
+def test_distances_match_a_list_bfs():
+    rng = random.Random(26)
+    cases = [graph_from_edges(5, []), graph_from_edges(5, [(0, 1), (2, 3), (3, 4)]),
+             grid_graph(3, 4), hypercube_graph(3)]
+    cases += [graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < 0.25]) for n in rng.choices(range(1, 12), k=60)]
+    for g in cases:
+        for a in range(g.n):
+            assert distances(g, a) == list_bfs(g, a), (list(g.edges()), a)
+    # the edgeless graph leaves every other vertex out of reach
+    assert distances(graph_from_edges(3, []), 1) == [3, 0, 3]
 
 
 # ---------------------------------------------------------------------------

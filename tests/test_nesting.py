@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
 from conftest import (
     check_isoperimetric_nesting,
+    greedy_orders,
     initial_segments,
     lex_key,
+    random_graph,
     segment_nest_strategy,
     surplus,
+    sweep_grid_order,
     union_profile,
     weightlex_key,
 )
@@ -20,6 +25,7 @@ from huntrab.errors import (
 from huntrab.graphs import (
     bipartition,
     bits,
+    cube_dim,
     cycle_graph,
     graph_from_edges,
     grid_graph,
@@ -33,11 +39,10 @@ from huntrab.nesting import (
     BIPARTITE,
     FULL,
     NestOrder,
-    builtin_order,
     format_nest_order,
-    grid_key,
     grid_nest_order,
     iter_weightlex,
+    nest_orders,
     nest_strategy,
     parse_nest_order,
     shot_labels,
@@ -100,9 +105,10 @@ def test_weightlex_nest_order_q3():
 
 
 def test_grid_compare_rule():
-    assert grid_key((0, 0)) < grid_key((0, 1))
-    assert grid_key((0, 1)) < grid_key((1, 0))  # same diagonal: smaller x first
-    assert grid_key((2, 0)) < grid_key((0, 3))
+    # the anchor order from two corners is the sweep by grid coordinates
+    for m in range(1, 13):
+        for n in range(1, 13):
+            assert grid_nest_order(m, n) == sweep_grid_order(m, n), (m, n)
 
 
 def test_initial_segment():
@@ -144,20 +150,43 @@ def test_nest_order_constructor_validation():
         NestOrder(FULL, order_all=(0, -1))
 
 
-def test_builtin_order_recognises_the_family_by_graph_equality():
+def test_nest_orders_lead_with_weightlex_and_include_the_grid_sweep():
     for n in range(7):
         g = hypercube_graph(n)
-        assert builtin_order(g, STANDARD) == weightlex_nest_order(g), n
-        assert builtin_order(g, DEAF) == weightlex_full_order(g), n
+        assert next(nest_orders(g, STANDARD)) == weightlex_nest_order(g), n
+        assert next(nest_orders(g, DEAF)) == weightlex_full_order(g), n
     for m, n in [(2, 2), (2, 3), (3, 2), (4, 4), (5, 7), (1, 7), (7, 1)]:
-        g = grid_graph(m, n)
-        assert builtin_order(g, STANDARD) == grid_nest_order(m, n), (m, n)
-        assert builtin_order(g, DEAF) is None, (m, n)
-    assert builtin_order(path_graph(7), STANDARD) == grid_nest_order(1, 7)
+        assert grid_nest_order(m, n) in nest_orders(grid_graph(m, n), STANDARD), (m, n)
+    assert grid_nest_order(1, 7) in nest_orders(path_graph(7), STANDARD)
+    # weightlex leads only what gen writes for a cube
     unlabelled = graph_from_edges(8, list(hypercube_graph(3).edges()))
-    # star 3 has the edge count of path 4, so a candidate grid is built and refused
-    for g in (unlabelled, cycle_graph(6), star_graph(3), graph_from_edges(0, [])):
-        assert builtin_order(g, STANDARD) is None and builtin_order(g, DEAF) is None
+    for variant in (STANDARD, DEAF):
+        assert next(nest_orders(unlabelled, variant)) == greedy_orders(unlabelled, variant)[0]
+
+
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+def test_the_learned_orders_are_the_ball_counting_greedy(variant):
+    # the BFS tie-break by distances() moves no learned order
+    rng = random.Random(26)
+    for _ in range(200):
+        g = random_graph(rng, 12)
+        if variant == STANDARD and bipartition(g) is None:
+            g = graph_from_edges(g.n, [(u, v) for u, v in g.edges() if (u + v) % 2])
+        orders, expected = nest_orders(g, variant), greedy_orders(g, variant)
+        if cube_dim(g) is not None:  # a lone vertex is Q0, which weightlex leads
+            next(orders)
+        assert [next(orders) for _ in expected] == expected, (list(g.edges()), variant)
+
+
+def test_the_anchor_orders_start_at_the_first_least_degree_vertex():
+    # a star's leaves are its least-degree vertices, all at distance 2 from
+    # leaf 1; each leaf at distance 2 leads its ties
+    anchors = [order.order_all for order in list(nest_orders(star_graph(4), DEAF))[1:]]
+    assert anchors == [(1, 0, 2, 3, 4), (1, 0, 3, 2, 4), (1, 0, 4, 2, 3)]
+    # a lone vertex of least degree is its own second anchor
+    pendant = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    assert list(nest_orders(pendant, DEAF))[1:] == [NestOrder(FULL, order_all=(3, 0, 1, 2))]
+    assert list(nest_orders(graph_from_edges(0, []), DEAF)) == [NestOrder(FULL, order_all=())]
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +323,19 @@ def test_nest_strategy_detects_non_nesting_order():
         nest_strategy(p7, NestOrder(BIPARTITE, sweep.order_even, sweep.order_odd[::-1]), 1)
 
 
-# every built-in order: Q0-Q6 in both games, and every grid or path of up
-# to 20 cells
-BUILTIN_CASES = ([(hypercube_graph(n), variant) for n in range(7) for variant in (STANDARD, DEAF)]
-                 + [(grid_graph(m, n), STANDARD) for m in range(1, 21) for n in range(1, 20 // m + 1)])
+# weightlex on Q0-Q6 in both games, and the sweep on every grid or path of
+# up to 20 cells
+SEGMENT_CASES = ([(hypercube_graph(n), order(hypercube_graph(n))) for n in range(7)
+                  for order in (weightlex_nest_order, weightlex_full_order)]
+                 + [(grid_graph(m, n), grid_nest_order(m, n))
+                    for m in range(1, 21) for n in range(1, 20 // m + 1)])
 
 
-def test_nest_strategy_shoots_the_segment_tails_on_every_builtin_order():
+def test_nest_strategy_shoots_the_segment_tails_on_weightlex_and_the_sweep():
     # wherever each position set is an initial segment, as on an order that
     # nests, the shots are the oracle's, for every hunter count
-    for g, variant in BUILTIN_CASES:
-        order = builtin_order(g, variant)
+    for g, order in SEGMENT_CASES:
+        variant = order.variant
         compared = 0
         for m in range(1, g.n + 1):
             try:

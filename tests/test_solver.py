@@ -699,6 +699,24 @@ def test_sandwich_answers_as_the_search_on_random_graphs(variant):
     assert routes["sandwich"] and routes["search"], routes
 
 
+def test_the_sandwich_meets_the_grid_values_on_any_numbering():
+    # standard h = floor(min(m, n) / 2) + 1 and deaf h = min(m, n) + 1, met by
+    # an order that ignores the numbering
+    for m in range(1, 11):
+        for n in range(max(m, 2), 11):
+            for seed in (None, 1, 2, 3):
+                g = grid_graph(m, n) if seed is None else relabelled(grid_graph(m, n), seed)
+                assert _sandwich(g, STANDARD, m // 2 + 1) is not None, (m, n, seed)
+                assert _sandwich(g, DEAF, m + 1) is not None, (m, n, seed)
+
+
+@pytest.mark.parametrize("size, h", [(7, 4), (8, 5), (9, 5)])
+def test_relabelled_grids_answer_by_the_sandwich(size, h):
+    for seed in (1, 2, 3):
+        result = hunter_number(relabelled(grid_graph(size, size), seed))
+        assert (result.hunter_number, result.route) == (h, "sandwich"), seed
+
+
 def test_the_search_answers_where_the_certificate_fails():
     # a tree whose deaf hunter number is its bound 2, but whose learned
     # order's strategy does not catch with 2 hunters
