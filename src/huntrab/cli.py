@@ -235,15 +235,14 @@ def _cmd_cube(args) -> tuple[dict, int]:
         if closed_form != scan:
             warnings.append(f"closed form {closed_form} disagrees with profile scan {scan}")
     elif sub == "diffseq":
-        seq = cube_mod.cube_diff_seq(n, args.side)
-        names = [str(v) for v in range(n + 1)]  # every entry lies in 0..n
-        results = {"side": args.side, "length": len(seq),
-                   "diffseq": " ".join(map(names.__getitem__, seq))}
+        text = cube_mod.cube_diff_text(n, args.side)
+        length = 1 << (n - 1)
+        results = {"side": args.side, "length": length, "diffseq": text}
         if n == 4:
             quoted = " ".join(str(v) for v in cube_mod.QUOTED_DIFFSEQ_Q4)
             warnings.append(
                 f"a quoted version of this sequence has {len(cube_mod.QUOTED_DIFFSEQ_Q4)} entries "
-                f"({quoted}); the {args.side} side of Q^4 has only {len(seq)} vertices, "
+                f"({quoted}); the {args.side} side of Q^4 has only {length} vertices, "
                 "so the extra trailing zero is dropped here")
     elif sub == "mun":
         if args.k is None:

@@ -31,8 +31,8 @@ QUOTED_DIFFSEQ_Q4 = (4, 2, 1, 0, 1, 0, 0, 0, 0)
 QUOTED_SURPLUS_Q4 = 5
 
 # A difference sequence holds all 2^(n-1) entries of one side, so its memory
-# doubles with each dimension: the JSON report of `cube 20 diffseq` peaks
-# at about 33 MB of RSS under Python 3.11, and n = 40 would need terabytes.
+# doubles with each dimension: the JSON report of `cube 20 diffseq` peaks at
+# 23 MB of RSS under Python 3.11, 20 MB of it the import; n = 40 needs terabytes.
 # The scans of the other cube reports stay O(n^2) and take no cap.
 MAX_SEQ_DIM = 20
 
@@ -131,15 +131,15 @@ def arrow_max_value_formula(n: int, i: int) -> int:
 # Difference sequences and profiles
 
 
-def cube_diff_seq(n: int, side: str = "even") -> tuple[int, ...]:
-    """Difference sequence of the whole even or odd side of Q^n, the first
-    differences of its minimum neighborhood-union profile: the subsequences
-    of its weight layers in order.
+def _diff_layers(n: int, side: str, leaf, join) -> list:
+    """The weight layers of the even or odd side of Q^n in order, each built
+    from leaf and join as in _arrow_row.
 
     Layer i is the arrow sequence (n-i, i), except that layer 1's first
     vertex is the only one whose neighborhood reaches down to a vertex (the
     empty set) not covered earlier in the scan, so its leading entry is n
-    instead of n-1.
+    instead of n-1.  It is the only leaf of value n-1 that reaches a layer,
+    so swapping that leaf value fixes it for any leaf type.
     """
     _check_dim(n)
     if n > MAX_SEQ_DIM:
@@ -147,10 +147,21 @@ def cube_diff_seq(n: int, side: str = "even") -> tuple[int, ...]:
                             f"the supported maximum dimension is {MAX_SEQ_DIM}")
     if side not in ("even", "odd"):
         raise InvalidParameterError(f"side must be even or odd, not {side!r}")
-    layers = _arrow_row(n, n, n, _single, operator.add)
-    layers[1] = (n,) + layers[1][1:]
-    parity = 0 if side == "even" else 1
-    return tuple(chain.from_iterable(layers[parity::2]))
+    layers = _arrow_row(n, n, n, lambda v: leaf(n if v == n - 1 else v), join)
+    return layers[0 if side == "even" else 1::2]
+
+
+def cube_diff_seq(n: int, side: str = "even") -> tuple[int, ...]:
+    """Difference sequence of the whole even or odd side of Q^n, the first
+    differences of its minimum neighborhood-union profile: the subsequences
+    of its weight layers in order."""
+    return tuple(chain.from_iterable(_diff_layers(n, side, _single, operator.add)))
+
+
+def cube_diff_text(n: int, side: str = "even") -> str:
+    """cube_diff_seq(n, side) as decimals separated by single spaces, built
+    as text: each arrow sequence is its entries' text, joined by a space."""
+    return " ".join(_diff_layers(n, side, str, lambda x, y: f"{x} {y}"))
 
 
 def cube_min_union(n: int, k: int, side: str = "even") -> int:

@@ -163,7 +163,9 @@ def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     is the segment's tail; on any other order the shots are still defined,
     and verify decides whether they catch.  If the set is not empty after
     4n rounds (m too small, or an order that drives no set down),
-    NonTerminatingError is raised.  The empty graph takes m = 0, the count
+    NonTerminatingError is raised; it is raised as soon as a (set, side)
+    state repeats, since the shots depend on that state alone, so the set
+    would cycle without clearing.  The empty graph takes m = 0, the count
     solve answers there, and no shot.
     """
     if m < min(1, g.n):
@@ -178,7 +180,9 @@ def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
         default=0))
     rabbit = side_mask(g, side)
     shots: list[int] = []
-    while rabbit and len(shots) < 4 * g.n:
+    seen: set[tuple[int, str]] = set()
+    while rabbit and len(shots) < 4 * g.n and (rabbit, side) not in seen:
+        seen.add((rabbit, side))
         # the side's order with the vertices outside the set reversed ahead
         # of the set's own, so its last m are the set's tail, or the whole
         # set and the first vertices after it

@@ -418,6 +418,30 @@ def segment_nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     raise NonTerminatingError(f"{m} hunters are too few")
 
 
+def capped_nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
+    """nest_strategy as it played before it stopped at a repeated (set,
+    side) state: every one of the 4n rounds, then NonTerminatingError."""
+    if m < min(1, g.n):
+        raise InvalidParameterError("hunter count must be at least 1")
+    _bind(g, order)
+    nbrs = moves(g, order.variant)
+    side = min(order.next_side, key=lambda s: max(
+        (nb.bit_count() - k for k, nb in enumerate(segment_images(g, order, s), start=1)),
+        default=0))
+    rabbit = side_mask(g, side)
+    shots: list[int] = []
+    while rabbit and len(shots) < 4 * g.n:
+        ranked = sorted(enumerate(order.sequence(side)),
+                        key=lambda pv: pv[0] if rabbit >> pv[1] & 1 else ~pv[0])
+        shots.append(mask_of(v for _, v in ranked[-m:]))
+        rabbit = step(nbrs, rabbit, shots[-1])
+        side = order.next_side[side]
+    if rabbit:
+        raise NonTerminatingError(f"{m} hunters do not clear the graph along the order "
+                                  f"in {4 * g.n} rounds")
+    return Strategy(tuple(shots), order.variant)
+
+
 # ---------------------------------------------------------------------------
 # Nest orders as the library built them before the anchor orders
 

@@ -702,6 +702,14 @@ def test_cube_diffseq_renders_every_entry(capsys, side):
         assert report["results"]["diffseq"] == " ".join(str(v) for v in cube_diff_seq(n, side))
 
 
+@pytest.mark.parametrize("side", ["even", "odd"])
+def test_cube_diffseq_length_counts_the_entries(capsys, side):
+    for n in range(1, MAX_SEQ_DIM + 1):
+        code, report = run_json(capsys, "cube", str(n), "diffseq", "--side", side)
+        assert code == 0
+        assert report["results"]["length"] == len(report["results"]["diffseq"].split()), n
+
+
 def test_cube_u_notes_quoted_surplus(capsys):
     code, report = run_json(capsys, "cube", "4", "u")
     assert code == 0

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from itertools import accumulate
 
 import pytest
@@ -35,6 +36,7 @@ from huntrab.cube import (
     cube_deaf_closed_form,
     cube_deaf_surplus,
     cube_diff_seq,
+    cube_diff_text,
     cube_hunter_number,
     cube_hunter_upper,
     cube_min_union,
@@ -214,6 +216,22 @@ def test_cube_diff_seq_values():
     for n in range(1, 9):
         assert len(cube_diff_seq(n, "even")) == 1 << (n - 1)
         assert cube_diff_seq(n, "even") == cube_diff_seq(n, "odd")
+
+
+@pytest.mark.parametrize("side", ["even", "odd"])
+def test_cube_diff_text_is_the_sequence_in_decimals(side):
+    for n in range(1, MAX_SEQ_DIM + 1):
+        assert cube_diff_text(n, side) == " ".join(map(str, cube_diff_seq(n, side))), n
+
+
+@pytest.mark.parametrize("n, side, error", [(0, "even", InvalidParameterError),
+                                            (MAX_SEQ_DIM + 1, "odd", CapacityError),
+                                            (3, "layer-1", InvalidParameterError)])
+def test_cube_diff_text_refuses_what_the_sequence_refuses(n, side, error):
+    with pytest.raises(error) as seq_error:
+        cube_diff_seq(n, side)
+    with pytest.raises(error, match=f"^{re.escape(str(seq_error.value))}$"):
+        cube_diff_text(n, side)
 
 
 def test_diff_seq_dimension_cap(capsys):

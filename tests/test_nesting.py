@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import (
+    capped_nest_strategy,
     check_isoperimetric_nesting,
     greedy_orders,
     initial_segments,
@@ -14,6 +15,7 @@ from conftest import (
     union_profile,
     weightlex_key,
 )
+from huntrab import nesting
 from huntrab.dynamics import DEAF, STANDARD, Caught, extend_parity, moves, run, step, verify
 from huntrab.errors import (
     BudgetExceededError,
@@ -349,6 +351,37 @@ def test_nest_strategy_shoots_the_segment_tails_on_weightlex_and_the_sweep():
             assert nest_strategy(g, order, m) == expected, (g.n, g.edge_count, variant, m)
             compared += 1
         assert compared, (g.n, g.edge_count, variant)
+
+
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+def test_nest_strategy_stopping_at_a_repeated_state_keeps_every_outcome(variant):
+    # every learned and anchor order of a random graph, at every count up to
+    # its hunter number: the same shots, or the same error on both sides
+    rng = random.Random(28)
+    for _ in range(200):
+        g = random_graph(rng, 12)
+        if variant == STANDARD and bipartition(g) is None:
+            g = graph_from_edges(g.n, [(u, v) for u, v in g.edges() if (u + v) % 2])
+        for order in nest_orders(g, variant):
+            for m in range(1, hunter_number(g, variant).hunter_number + 1):
+                try:
+                    expected = capped_nest_strategy(g, order, m)
+                except (NonTerminatingError, InvalidOrderError) as exc:
+                    with pytest.raises(type(exc)):
+                        nest_strategy(g, order, m)
+                    continue
+                assert nest_strategy(g, order, m) == expected, (list(g.edges()), variant, m)
+
+
+def test_nest_strategy_stops_when_a_state_repeats(monkeypatch):
+    # the path's parts swept in opposite directions: one hunter's position
+    # sets cycle, and the strategy stops well before its 28-round cap
+    p7, sweep = path_graph(7), grid_nest_order(1, 7)
+    calls = []
+    monkeypatch.setattr(nesting, "step", lambda *a: calls.append(a) or step(*a))
+    with pytest.raises(NonTerminatingError, match="in 28 rounds"):
+        nest_strategy(p7, NestOrder(BIPARTITE, sweep.order_even, sweep.order_odd[::-1]), 1)
+    assert 0 < len(calls) < 28
 
 
 def test_nest_strategy_deaf_q3():
