@@ -191,8 +191,15 @@ def bipartition(g: Graph) -> Bipartition | None:
     """2-color g by BFS, or return None if some cycle is odd.
 
     Deterministic: each component is rooted at its lowest-index vertex and
-    the root is colored even.
+    the root is colored even.  The graph is immutable, so the answer is
+    kept on it and the BFS runs once per graph.
     """
+    if "bipartition" not in g.__dict__:
+        g.__dict__["bipartition"] = _two_color(g)
+    return g.__dict__["bipartition"]
+
+
+def _two_color(g: Graph) -> Bipartition | None:
     color = [-1] * g.n
     for root in range(g.n):
         if color[root] != -1:

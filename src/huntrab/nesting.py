@@ -208,9 +208,10 @@ def nest_orders(g: Graph, variant: str) -> Iterator[NestOrder]:
     vertex taken, then to the lower vertex.  In the deaf game the lead side
     is all of V and the one order is full.  In the standard game each part
     leads once, even first, and the other part follows in the order its
-    vertices enter the running union (by vertex within one step): two
-    bipartite orders.  A graph with no bipartition has no standard-game
-    order (InvalidParameterError).
+    vertices enter the running union (by vertex within one step), then its
+    vertices with no neighbour in the lead part, by vertex: two bipartite
+    orders.  A graph with no bipartition has no standard-game order
+    (InvalidParameterError).
 
     An anchor order is _anchor_order(a, b) for a the first vertex of least
     degree and b each other least-degree vertex nearest to a (else a).  On
@@ -232,6 +233,7 @@ def nest_orders(g: Graph, variant: str) -> Iterator[NestOrder]:
             order.append(v)
             follow += bits(nbrs[v] & ~union)
             union |= nbrs[v]
+        follow += bits(g.full_mask & ~side_mask(g, lead) & ~union)  # isolated, last
         parts = (tuple(order), tuple(follow))[::-1 if lead == "odd" else 1]
         yield NestOrder(FULL, order_all=parts[0]) if lead == "all" else NestOrder(BIPARTITE, *parts)
     if g.n:

@@ -44,18 +44,27 @@ if TYPE_CHECKING:
 # Work units: one per candidate a node of the union branch and bound scans,
 # one per kept set (successor candidate) of each state the search expands.
 # The kept-set count depends only on |R| and k, so it is charged before the
-# work and does not change with how successors are built; a unit per
-# half-table entry and joined candidate would charge 2.7 times as much on
-# small graphs.  A solve that a nest strategy answers spends only its union
-# bound, which searches each U(j) only until it knows whether j raises the
-# bound, and not at all when a greedy prefix shows it cannot: grid 5x5 135
-# units, Q5 1,344, grid 7x7 6,382, Q6 1,290,902 and Q5 deaf 645,451.  The
-# search alone, from one part, takes 33,385 units on grid 5x5.  It expands
-# one state per orbit of the graph's automorphisms once a start's expansion
-# costs more than n^2 units, and explored_states counts those orbit
-# representatives: searched, Q5 solves in 52,434 units, grid 6x6 in
-# 321,298, grid 7x7 in 9,456,774 and grid 5x5 deaf in 66,475,805.
+# work and does not change with how successors are built.  The half-table
+# entries built plus the candidates joined come to 0.93 per unit on the
+# exact-standard benchmark, 0.84 on exact-deaf (seed 1, draws 0-5) and 1.15
+# over 3,000 searched random graphs of up to 12 vertices; the joined
+# candidates alone never exceed the units.  A solve that a nest strategy
+# answers spends only its union bound, which searches each U(j) only until
+# it knows whether j raises the bound, and not at all when a greedy prefix
+# shows it cannot: grid 5x5 135 units, Q5 1,344, grid 7x7 6,382, Q6
+# 1,290,902 and Q5 deaf 645,451.  The search alone, from one part, takes
+# 33,385 units on grid 5x5.  It expands one state per orbit of the graph's
+# automorphisms once a start's expansion costs more than n^2 units, and
+# explored_states counts those orbit representatives: searched, Q5 solves
+# in 52,434 units, grid 6x6 in 321,298, grid 7x7 in 9,456,774 and grid 5x5
+# deaf in 66,475,805.
 DEFAULT_BUDGET = 10**8
+# can_clear keeps its half tables until they hold more than this many
+# entries, then drops them all before the next expansion.  The searched
+# triangulated grid 5x5 (1,949 states) took 1.61, 1.43, 1.40, 1.27 and
+# 1.22 s at a peak RSS of 17, 18, 24, 46 and 68 MB with a cap of 0, 2^14,
+# 2^16, 2^18 and none (Python 3.11, shared 2-core machine).
+TABLE_ENTRIES = 1 << 16
 
 CLEARED = "cleared"
 BLOCKED = "blocked"
@@ -266,30 +275,54 @@ def _witness(parents: dict[int, tuple[int, int, int]], state: int, last: int,
     return tuple(shots)
 
 
-def _half_table(adj: tuple[int, ...], half: list[int], lo: int, hi: int) -> dict[tuple[int, int], int]:
-    """Distinct (union, kept count) over the kept subsets of half with lo..hi
-    members, each mapped to the mask of its first kept set in lexicographic
-    order.  Each vertex extends the table entry by entry, joining before it
-    is shot and keeping the first mask on a collision, so the dict's
-    insertion order is that lexicographic first-reach order."""
-    table = {(0, 0): 0}
-    for i, v in enumerate(half):
-        room = len(half) - i - 1  # vertices still to come after v
-        nv, bit = adj[v], 1 << v
+class _Tables:
+    """The half tables of one search by vertex mask (_half_table), and the
+    high side's grouping of each by kept count; entries counts what the
+    tables hold."""
+
+    def __init__(self) -> None:
+        self.drop()
+
+    def drop(self) -> None:
+        self.tables: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 0}}
+        self.groups: dict[int, dict[int, tuple[list[int], list[int]]]] = {}
+        self.entries = 0
+
+
+def _half_table(adj: tuple[int, ...], store: _Tables, half: int, k: int) -> dict[tuple[int, int], int]:
+    """Distinct (union, kept count) over the subsets of the vertex set half
+    kept with at most k of it shot, each mapped to the mask of its first
+    kept set in lexicographic order, from the store or built into it.  A
+    missing table is built from the table of half less its lowest vertex v:
+    first each entry with v kept, then each with v shot where that shoots
+    at most k, both by setdefault in the smaller table's order, so a key
+    keeps its first kept set and the dict's insertion order is that
+    lexicographic first-reach order."""
+    tables, chain = store.tables, []
+    while half not in tables:
+        chain.append(half)
+        half &= half - 1
+    table = tables[half]
+    for half in reversed(chain):
+        bit = half & -half
+        nv, least = adj[bit.bit_length() - 1], half.bit_count() - k
         grown: dict[tuple[int, int], int] = {}
-        for (union, count), mask in table.items():
-            if count < hi:
-                grown.setdefault((union | nv, count + 1), mask | bit)
-            if count + room >= lo:
-                grown.setdefault((union, count), mask)
-        table = grown
+        for (union, count), kept in table.items():
+            grown.setdefault((union | nv, count + 1), kept | bit)
+        for key, kept in table.items():
+            if key[1] >= least:
+                grown.setdefault(key, kept)
+        tables[half] = table = grown
+        store.entries += len(grown)
     return table
 
 
-def _successors(adj: tuple[int, ...], state: int, k: int, seen: set[int]) -> Iterator[tuple[int, int]]:
+def _successors(adj: tuple[int, ...], state: int, k: int, seen: set[int],
+                store: _Tables) -> Iterator[tuple[int, int]]:
     """The successors of state not in seen, each with its first shot, in the
     order of combinations(bits(state), |state| - k) over the kept vertices;
-    each one is added to seen.
+    each one is added to seen.  The store must be used with one adj and k
+    only; it is dropped first once it holds more than TABLE_ENTRIES.
 
     The state's vertices split into a low and a high half.  A kept set is a
     low part followed by a high part, so lexicographic order runs over the
@@ -297,17 +330,24 @@ def _successors(adj: tuple[int, ...], state: int, k: int, seen: set[int]) -> Ite
     only the first part of each (union, count) in a half can reach a union
     first, so the half tables hold every first reach in order.
     """
+    if store.entries > TABLE_ENTRIES:
+        store.drop()
     vs = bits(state)
     keep = len(vs) - k
-    low, high = vs[:len(vs) // 2], vs[len(vs) // 2:]
-    by_count: dict[int, tuple[list[int], list[int]]] = {}
-    for (union, count), mask in _half_table(adj, high, keep - len(low), keep).items():
-        unions, masks = by_count.setdefault(count, ([], []))
-        unions.append(union)
-        masks.append(mask)
-    for (lu, count), lmask in _half_table(adj, low, keep - len(high), keep).items():
+    low = state & ((1 << vs[len(vs) // 2]) - 1)
+    high = state ^ low
+    by_count = store.groups.get(high)
+    if by_count is None:
+        by_count = store.groups[high] = {}
+        for (union, count), mask in _half_table(adj, store, high, k).items():
+            unions, masks = by_count.setdefault(count, ([], []))
+            unions.append(union)
+            masks.append(mask)
+    for (lu, count), lmask in _half_table(adj, store, low, k).items():
+        if count > keep:
+            continue
         unions, masks = by_count[keep - count]
-        if {lu | hu for hu in unions} <= seen:
+        if seen.issuperset(map(lu.__or__, unions)):
             continue  # no fresh union in this group
         for hu, hmask in zip(unions, masks):
             nxt = lu | hu
@@ -335,7 +375,10 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     at k = 3: 513,046 kept sets, 1,636 distinct states); keep-first
     insertion puts each table in lexicographic first-reach order, so the
     successors and their shots come as enumerating the kept sets
-    lexicographically first reaches them.  Expanding state R is charged
+    lexicographically first reaches them.  The search keeps its tables by
+    vertex mask, each built once from the table one vertex smaller, for
+    every state whose low or high half it is, and drops them all once they
+    hold more than TABLE_ENTRIES entries.  Expanding state R is charged
     C(|R|, k) units, one per kept set.
 
     The search runs layer by layer, each layer in the order its states were
@@ -371,6 +414,7 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
         seen.add(canonical(start))
     minimal: list[int] = [start]
     layer = [start]
+    store = _Tables()
     explored = 0
     while layer:
         admitted: list[int] = []
@@ -380,7 +424,7 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
             if size <= k:
                 return ClearResult(CLEARED, _witness(parents, state, state, group), explored)
             meter.spend(comb(size, k), "search")
-            for raw, shot in _successors(adj, state, k, seen):
+            for raw, shot in _successors(adj, state, k, seen, store):
                 if raw == 0:
                     return ClearResult(CLEARED, _witness(parents, state, shot, group), explored)
                 nxt = raw

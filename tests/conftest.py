@@ -33,6 +33,7 @@ from huntrab.solver import (
     _dominated,
     _min_union,
     _successors,
+    _Tables,
     _witness,
     as_meter,
 )
@@ -480,6 +481,7 @@ def greedy_orders(g: Graph, variant: str) -> list[NestOrder]:
             order.append(v)
             follow += bits(nbrs[v] & ~union)
             union |= nbrs[v]
+        follow += bits(g.full_mask & ~side_mask(g, lead) & ~union)
         parts = (tuple(order), tuple(follow))[::-1 if lead == "odd" else 1]
         orders.append(NestOrder(FULL, order_all=parts[0]) if lead == "all"
                       else NestOrder(BIPARTITE, *parts))
@@ -590,13 +592,14 @@ def fifo_can_clear(g: Graph, k: int, variant: str = STANDARD, start: int | None 
         seen.add(canonical(start))
     minimal = [start]
     queue = deque([start])
+    store = _Tables()
     explored = 0
     while queue:
         state = queue.popleft()
         explored += 1
         if state.bit_count() <= k:
             return ClearResult(CLEARED, _witness(parents, state, state, group), explored)
-        for raw, shot in _successors(adj, state, k, seen):
+        for raw, shot in _successors(adj, state, k, seen, store):
             if raw == 0:
                 return ClearResult(CLEARED, _witness(parents, state, shot, group), explored)
             nxt = raw
@@ -612,6 +615,53 @@ def fifo_can_clear(g: Graph, k: int, variant: str = STANDARD, start: int | None 
             _admit(minimal, nxt)
             queue.append(nxt)
     return ClearResult(BLOCKED, None, explored)
+
+
+def pruned_half_table(adj: tuple[int, ...], half: list[int], lo: int,
+                      hi: int) -> dict[tuple[int, int], int]:
+    """Reference half table, built afresh for one state: distinct (union,
+    kept count) over the kept subsets of half with lo..hi members, each
+    mapped to the mask of its first kept set in lexicographic order.  Each
+    vertex extends the table entry by entry, joining before it is shot and
+    keeping the first mask on a collision, so the dict's insertion order is
+    that lexicographic first-reach order."""
+    table = {(0, 0): 0}
+    for i, v in enumerate(half):
+        room = len(half) - i - 1  # vertices still to come after v
+        nv, bit = adj[v], 1 << v
+        grown: dict[tuple[int, int], int] = {}
+        for (union, count), mask in table.items():
+            if count < hi:
+                grown.setdefault((union | nv, count + 1), mask | bit)
+            if count + room >= lo:
+                grown.setdefault((union, count), mask)
+        table = grown
+    return table
+
+
+def fresh_successors(adj: tuple[int, ...], state: int, k: int,
+                     seen: set[int]) -> Iterator[tuple[int, int]]:
+    """Reference successors of state not in seen, each with its first shot
+    and added to seen, from two half tables built for this state alone:
+    solver._successors before it kept its tables across a search."""
+    vs = bits(state)
+    keep = len(vs) - k
+    low, high = vs[:len(vs) // 2], vs[len(vs) // 2:]
+    by_count: dict[int, tuple[list[int], list[int]]] = {}
+    for (union, count), mask in pruned_half_table(adj, high, keep - len(low), keep).items():
+        unions, masks = by_count.setdefault(count, ([], []))
+        unions.append(union)
+        masks.append(mask)
+    for (lu, count), lmask in pruned_half_table(adj, low, keep - len(high), keep).items():
+        unions, masks = by_count[keep - count]
+        if {lu | hu for hu in unions} <= seen:
+            continue  # no fresh union in this group
+        for hu, hmask in zip(unions, masks):
+            nxt = lu | hu
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            yield nxt, state & ~(lmask | hmask)
 
 
 def searched_hunter_number(g: Graph, variant: str = STANDARD,

@@ -534,6 +534,18 @@ def test_strategy_takes_the_bound_per_component(tmp_path, capsys):
     assert report["results"]["verified"] is True
 
 
+def test_strategy_learns_orders_that_hold_isolated_vertices(tmp_path, capsys):
+    # vertices 0 and 8 have no neighbour; the even-led learned order still
+    # holds each part whole, and its strategy catches with solve's 1 hunter
+    g = graph_from_edges(9, [(1, 4), (2, 4), (2, 5), (3, 4), (3, 6), (3, 7)])
+    graph_path = tmp_path / "g.graph"
+    graph_path.write_text(format_graph(g), encoding="utf-8")
+    code, report = run_json(capsys, "strategy", str(graph_path))
+    assert code == 0
+    assert report["results"]["hunters"] == 1 == solver.hunter_number(g).hunter_number
+    assert report["results"]["verified"] is True
+
+
 def test_routes_agree_on_q0(tmp_path, capsys):
     path = tmp_path / "q0.graph"
     run_cli(capsys, "gen", "hypercube", "0", "-o", str(path))

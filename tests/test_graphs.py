@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import adjacency_sets, brute_degeneracy, clearing_bits, random_mask
+from huntrab import graphs
 from huntrab.dynamics import DEAF, STANDARD, moves, step
 from huntrab.errors import CapacityError, FormatError, InvalidParameterError
 from huntrab.graphs import (
@@ -23,8 +24,10 @@ from huntrab.graphs import (
     mask_of,
     parse_graph,
     path_graph,
+    side_mask,
     star_graph,
 )
+from huntrab.solver import lower_bound_union
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
@@ -163,6 +166,23 @@ def test_bipartition_examples():
     parts = bipartition(q3)
     assert parts.even == mask_of(v for v in range(8) if v.bit_count() % 2 == 0)
     assert parts.even.bit_count() == 4
+
+
+def test_bipartition_runs_once_per_graph(monkeypatch):
+    # kept on the graph: every later call on it, through side_mask and the
+    # union bound too, reads the first answer; another graph starts fresh
+    calls = []
+    two_color = graphs._two_color
+    monkeypatch.setattr(graphs, "_two_color", lambda g: calls.append(g) or two_color(g))
+    for g in (grid_graph(3, 4), cycle_graph(5)):
+        parts = bipartition(g)
+        assert bipartition(g) is parts
+        if parts is not None:
+            assert side_mask(g, "even") == parts.even
+        lower_bound_union(g)
+    assert len(calls) == 2
+    bipartition(grid_graph(3, 4))
+    assert len(calls) == 3
 
 
 def all_families_upto(limit: int):

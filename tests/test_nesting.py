@@ -180,6 +180,24 @@ def test_the_learned_orders_are_the_ball_counting_greedy(variant):
         assert [next(orders) for _ in expected] == expected, (list(g.edges()), variant)
 
 
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+def test_every_order_holds_each_side_with_isolated_vertices(variant):
+    # a vertex of the following part with no neighbour in the lead part
+    # still ends that part's order, so _bind accepts every order
+    rng = random.Random(29)
+    isolated = 0
+    for _ in range(200):
+        g = random_graph(rng, 10)
+        edges = list(g.edges())
+        if variant == STANDARD:
+            edges = [(u, v) for u, v in edges if (u + v) % 2]
+        g = graph_from_edges(g.n + rng.randrange(3), edges)
+        isolated += sum(g.adj[v] == 0 for v in range(g.n))
+        for order in nest_orders(g, variant):
+            nesting._bind(g, order)
+    assert isolated > 100, isolated
+
+
 def test_the_anchor_orders_start_at_the_first_least_degree_vertex():
     # a star's leaves are its least-degree vertices, all at distance 2 from
     # leaf 1; each leaf at distance 2 leads its ties

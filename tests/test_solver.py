@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     brute_min_union,
     cube_deaf_closed_profile,
+    fresh_successors,
     naive_can_clear,
     naive_successors,
     profile_bound,
@@ -19,6 +20,7 @@ from conftest import (
     surplus,
     union_profile,
 )
+from huntrab import solver
 from huntrab.cube import cube_deaf_surplus, cube_diff_seq, cube_hunter_number
 from huntrab.dynamics import DEAF, STANDARD, Caught, moves, verify
 from huntrab.errors import BudgetExceededError, InvalidParameterError
@@ -42,6 +44,7 @@ from huntrab.solver import (
     _min_union,
     _sandwich,
     _successors,
+    _Tables,
     can_clear,
     hunter_number,
     lower_bound,
@@ -441,10 +444,11 @@ def test_can_clear_reproduces_pinned_searches():
             (status, shots, explored, spent), (name, variant, k)
 
 
-def test_successors_match_combinations_order():
+def test_successors_match_combinations_order(monkeypatch):
     # the half-table generator yields exactly the first-reach (union, shot)
     # list of plain enumeration over combinations, order and shots included,
-    # less the unions already seen
+    # less the unions already seen, while every state of one k shares one
+    # store of tables; a cap of 0 or 1 entries drops the store between states
     rng = random.Random(606)
     for trial in range(120):
         g = random_graph(rng, 12, rng.choice([None, 0.3, 0.6]))
@@ -454,18 +458,65 @@ def test_successors_match_combinations_order():
         if not closed:
             # kept sets of isolated vertices alone give the empty union
             states += [random_mask(rng, g.n) | 1 << v for v in range(g.n) if g.adj[v] == 0]
-        for state in states:
-            for k in range(1, state.bit_count()):
+        cap = (solver.TABLE_ENTRIES, 0, 1)[trial % 3]
+        monkeypatch.setattr(solver, "TABLE_ENTRIES", cap)
+        for k in range(1, g.n):
+            store = _Tables()
+            # the full state's successors share halves with it and each other
+            sequence = states + [union & g.full_mask for union, _ in
+                                 naive_successors(adj, g.full_mask, k)[:4]]
+            for state in sequence:
+                if state.bit_count() <= k:
+                    continue
                 expected = naive_successors(adj, state, k)
-                case = (list(g.edges()), closed, state, k)
-                assert list(_successors(adj, state, k, set())) == expected, case
+                case = (list(g.edges()), closed, state, k, cap)
+                assert list(_successors(adj, state, k, set(), store)) == expected, case
                 seen = {union for union, _ in expected if rng.random() < 0.5}
                 fresh = [(union, shot) for union, shot in expected if union not in seen]
-                assert list(_successors(adj, state, k, seen)) == fresh, case
+                assert list(_successors(adj, state, k, seen, store)) == fresh, case
+                assert list(fresh_successors(adj, state, k, set())) == expected, case
+                if cap < 2:
+                    # dropped, then one table per vertex for the halves' chains
+                    assert len(store.tables) <= state.bit_count() + 1, case
     # a shot whose key a join from an earlier entry already holds must leave
     # the join's mask in place; random graphs seldom reach that collision
     g = graph_from_edges(8, [(0, 1), (0, 3), (0, 6), (0, 7), (2, 6), (2, 7), (3, 5), (3, 7)])
-    assert list(_successors(g.adj, g.full_mask, 3, set())) == naive_successors(g.adj, g.full_mask, 3)
+    assert list(_successors(g.adj, g.full_mask, 3, set(), _Tables())) == \
+        naive_successors(g.adj, g.full_mask, 3)
+
+
+def search_record(g, variant, successors=None):
+    """The searched solve (no sandwich) with its units, on solver's
+    successors or on the given stand-in."""
+    meter = Meter()
+    with pytest.MonkeyPatch.context() as patch:
+        if successors is not None:
+            patch.setattr(solver, "_successors", successors)
+        result = searched_hunter_number(g, variant, meter)
+    return (result.hunter_number, result.witness.shots, result.explored_states,
+            result.group_order, meter.spent)
+
+
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+def test_kept_tables_search_as_tables_built_per_state(variant):
+    # the whole search, orbit quotient included, answers, plays, explores
+    # and charges the same as on half tables built afresh for every state,
+    # and as with a store capped at 64 entries
+    def fresh(adj, state, k, seen, store):
+        return fresh_successors(adj, state, k, seen)
+
+    rng = random.Random(29)
+    graphs = [g if seed is None else relabelled(g, seed)
+              for g in QUOTIENT_CASES for seed in (None, 1, 2, 3)]
+    graphs += [random_graph(rng, 10) for _ in range(200)]
+    for i, g in enumerate(graphs):
+        expected = search_record(g, variant, fresh)
+        assert search_record(g, variant) == expected, (list(g.edges()), variant)
+        if i % 2:
+            # a store dropped before nearly every expansion changes nothing
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "TABLE_ENTRIES", 64)
+                assert search_record(g, variant) == expected, (list(g.edges()), variant)
 
 
 # ---------------------------------------------------------------------------
