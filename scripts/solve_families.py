@@ -5,10 +5,9 @@ Usage: python scripts/solve_families.py [--deaf] [--budget N]
 
 Prints one line per instance: the hunter number, the lower bound that
 seeded it, the route that answered (sandwich: a nest strategy met the
-bound; search: some component was searched), the states explored (one per
-orbit when the search used automorphisms; 0 on the sandwich route), the
-work units the solve spent of the budget, the order of the group the
-search used (1 for a plain search), and whether the witness re-verifies.
+bound; search: some component was searched), the states explored (both
+passes of each searched hunter count; 0 on the sandwich route), the work
+units the solve spent of the budget, and whether the witness re-verifies.
 """
 
 import argparse
@@ -41,18 +40,18 @@ def main() -> None:
     variant = DEAF if args.deaf else STANDARD
 
     print(f"{'instance':<12} {'hunters':>8} {'bound':>6} {'route':>8} {'explored':>9} "
-          f"{'units':>11} {'group':>6} {'witness':>8}")
+          f"{'units':>11} {'witness':>8}")
     for name, g in instances():
         meter = Meter(args.budget)
         try:
             result = hunter_number(g, variant, meter)
         except BudgetExceededError as exc:
             print(f"{name:<12} {'?':>8} {exc.best_lower_bound:>6} {'-':>8} {'-':>9} {'-':>11} "
-                  f"{'-':>6} {'budget':>8}")
+                  f"{'budget':>8}")
             continue
         ok = isinstance(verify(g, result.witness), Caught)
         print(f"{name:<12} {result.hunter_number:>8} {result.lower_bound_used:>6} "
-              f"{result.route:>8} {result.explored_states:>9} {meter.spent:>11} {result.group_order:>6} "
+              f"{result.route:>8} {result.explored_states:>9} {meter.spent:>11} "
               f"{'ok' if ok else 'BAD':>8}")
 
 

@@ -7,6 +7,10 @@ R is wasted and shooting fewer vertices is dominated, so this loses nothing.
 A state is clearable iff the empty set is reachable, and breadth-first
 layering gives a shortest witness.  Of the states a layer admits, the next
 layer expands only those no later subset from the same layer replaced.
+hunter_number first searches each hunter count with every layer cut to its
+SEARCH_WIDTH smallest states, and searches it again uncut only when that
+pass did not clear, so the answer is exact but a witness from a cut pass
+need not be shortest.
 
 In the standard game a rabbit on a connected bipartite graph alternates
 parts, so a start inside one part keeps every position set inside one part:
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .dynamics import STANDARD, Caught, Strategy, extend_parity, moves, verify
 from .errors import BudgetExceededError, InvalidParameterError, NonTerminatingError
@@ -38,36 +42,44 @@ from .graphs import (
 )
 from .nesting import nest_orders, nest_strategy
 
-if TYPE_CHECKING:
-    from .symmetry import Group
-
 # Work units: one per candidate a node of the union branch and bound scans,
 # one per kept set (successor candidate) of each state the search expands.
 # The kept-set count depends only on |R| and k, so it is charged before the
 # work and does not change with how successors are built.  The half-table
-# entries built plus the candidates joined come to 0.93 per unit on the
-# exact-standard benchmark, 0.84 on exact-deaf (seed 1, draws 0-5) and 1.15
+# entries built plus the candidates joined come to 0.97 per unit on the
+# exact-standard benchmark, 0.86 on exact-deaf (seed 1, draws 0-5) and 1.25
 # over 3,000 searched random graphs of up to 12 vertices; the joined
 # candidates alone never exceed the units.  A solve that a nest strategy
 # answers spends only its union bound, which searches each U(j) only until
 # it knows whether j raises the bound, and not at all when a greedy prefix
 # shows it cannot: grid 5x5 135 units, Q5 1,344, grid 7x7 6,382, Q6
-# 1,290,902 and Q5 deaf 645,451.  The search alone, from one part, takes
-# 33,385 units on grid 5x5.  It expands one state per orbit of the graph's
-# automorphisms once a start's expansion costs more than n^2 units, and
-# explored_states counts those orbit representatives: searched, Q5 solves
-# in 52,434 units, grid 6x6 in 321,298, grid 7x7 in 9,456,774 and grid 5x5
-# deaf in 66,475,805.
+# 1,290,902 and Q5 deaf 645,451.  Searched, with both passes of each
+# hunter count, grid 5x5 from one part solves in 15,387 units, Q5 in
+# 91,824, grid 6x6 in 90,378, grid 7x7 in 767,495 and grid 5x5 deaf in
+# 3,682,792.
 DEFAULT_BUDGET = 10**8
 # can_clear keeps its half tables until they hold more than this many
 # entries, then drops them all before the next expansion.  The searched
-# triangulated grid 5x5 (1,949 states) took 1.61, 1.43, 1.40, 1.27 and
-# 1.22 s at a peak RSS of 17, 18, 24, 46 and 68 MB with a cap of 0, 2^14,
-# 2^16, 2^18 and none (Python 3.11, shared 2-core machine).
+# triangulated grid 5x5 (194 states) took 0.66, 0.38, 0.30, 0.36 and
+# 0.32 s at a peak RSS of 16, 17, 22, 25 and 25 MB with a cap of 0, 2^14,
+# 2^16, 2^18 and none (Python 3.11, shared 2-core machine, one run each).
 TABLE_ENTRIES = 1 << 16
+# hunter_number searches each hunter count first with every layer cut to
+# this many states, and again uncut only when that pass cut a layer and did
+# not clear.  On the exact workloads' random graphs (seed 1, draws 0-59,
+# 240 graphs) widths 4, 8 and 16 and no cut solved the standard game in
+# 0.60-0.70, 0.70-0.88, 0.78-0.88 and 0.88 s and the deaf game in 0.36,
+# 0.42-0.53, 0.45-0.52 and 0.51 s; they searched 138, 52, 9 and 0 of 393
+# standard counts again uncut (59, 39, 7 and 0 of 183 deaf), and gave 60,
+# 21, 2 and 0 of the 480 witnesses more shots than the shortest (each time
+# the best of 3 passes, over 1-3 runs).  The triangulated grid 5x5 took
+# 0.12-0.20, 0.19-0.28 and 0.42-0.48 s, and uncut it runs out of the
+# default budget (Python 3.11, shared 2-core machine).
+SEARCH_WIDTH = 16
 
 CLEARED = "cleared"
 BLOCKED = "blocked"
+UNDECIDED = "undecided"
 
 
 @dataclass
@@ -102,7 +114,8 @@ def _min_union(contrib: list[int], k: int, stop: int, meter: Meter) -> int:
     union only grows.  The search ends at the first k-union of stop or fewer
     vertices and returns its size, so a result above stop is the exact
     minimum.  A node costs one unit per candidate it scans, charged when the
-    search ends or once the count passes the budget left."""
+    search ends or once the count passes the budget left; that exit reports
+    every unit counted, the node that passed the budget included."""
     n = len(contrib)
     room = meter.limit - meter.spent
     best = sum(c.bit_count() for c in contrib) + 1  # above every union
@@ -115,7 +128,8 @@ def _min_union(contrib: list[int], k: int, stop: int, meter: Meter) -> int:
         end = n - left + 1
         units += end - first
         if units > room:
-            meter.spend(units, "bound")  # raises
+            meter.spent += units
+            raise BudgetExceededError("bound", meter.spent, meter.lower_bound, meter.limit)
         for i in range(first, end):
             grown = union | contrib[i]
             size = grown.bit_count()
@@ -248,31 +262,14 @@ def _admit(minimal: list[int], state: int) -> None:
     minimal.append(state)
 
 
-def _witness(parents: dict[int, tuple[int, int, int]], state: int, last: int,
-             group: Group | None) -> tuple[int, ...]:
-    """The shots from the start to state, then last, each played in the
-    frame of the start.  A stored state is the image sigma(raw) of the raw
-    successor its shot produced; with tau_0 = id, the state reached after i
-    shots is tau_i of the stored one, so shot i + 1 is played as
-    tau_i(shot) and tau_(i+1) = tau_i o sigma^-1."""
-    path = [(last, 0, 0)]  # (shot, raw, stored state), the last shot first
-    while True:
-        prev, shot, raw = parents[state]
-        if prev < 0:
-            break
-        path.append((shot, raw, state))
-        state = prev
-    shots: list[int] = []
-    tau: list[int] | None = None
-    for shot, raw, state in reversed(path):
-        shots.append(shot if tau is None else mask_of(tau[v] for v in bits(shot)))
-        if raw != state:
-            sigma = group.carrier(raw, state)
-            frame = [0] * len(sigma)
-            for v, image in enumerate(sigma):
-                frame[image] = v if tau is None else tau[v]
-            tau = frame
-    return tuple(shots)
+def _witness(parents: dict[int, tuple[int, int]], state: int, last: int) -> tuple[int, ...]:
+    """The shots from the start to state, then last."""
+    shots = [last]
+    prev, shot = parents[state]
+    while prev >= 0:
+        shots.append(shot)
+        prev, shot = parents[prev]
+    return tuple(reversed(shots))
 
 
 class _Tables:
@@ -359,7 +356,7 @@ def _successors(adj: tuple[int, ...], state: int, k: int, seen: set[int],
 
 def can_clear(g: Graph, k: int, variant: str = STANDARD,
               budget: int | Meter = DEFAULT_BUDGET, start: int | None = None,
-              group: Group | None = None) -> ClearResult:
+              width: int | None = None) -> ClearResult:
     """Decide whether k hunters can clear g from the start set (default V(G)),
     with a shot-sequence witness.
 
@@ -389,13 +386,11 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     state dropped by a subset from a deeper layer is still expanded, since
     skipping it could lengthen the witness.
 
-    With a group of g's automorphisms that lists more than the identity,
-    each fresh successor is replaced by its canonical form, the least image
-    under the listed elements, and one already seen is skipped: an image
-    clears in as many rounds, so the search stores and expands one state per
-    orbit, explored counts orbit representatives, and the answer and the
-    witness length stay those of the plain search.  The start is stored as
-    given, its canonical form marked seen.
+    With a width, each layer is then cut to its width smallest states by
+    (size, mask); the states cut stay in the antichain and in seen.  A cut
+    search that clears returns a witness, not always a shortest one; one
+    that does not clear proves nothing and returns UNDECIDED.  A search
+    that cut no layer is the exact one, and its BLOCKED is a proof.
     """
     if k < 1:
         raise InvalidParameterError("hunter count must be at least 1")
@@ -407,41 +402,35 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     meter = as_meter(budget)
     if start == 0:
         return ClearResult(CLEARED, (), 0)
-    canonical = group.canonical if group is not None and len(group.elements) > 1 else None
-    parents: dict[int, tuple[int, int, int]] = {start: (-1, 0, start)}
+    parents: dict[int, tuple[int, int]] = {start: (-1, 0)}
     seen = {start}
-    if canonical is not None:
-        seen.add(canonical(start))
     minimal: list[int] = [start]
     layer = [start]
     store = _Tables()
     explored = 0
+    cut = False
     while layer:
         admitted: list[int] = []
         for state in layer:
             explored += 1
             size = state.bit_count()
             if size <= k:
-                return ClearResult(CLEARED, _witness(parents, state, state, group), explored)
+                return ClearResult(CLEARED, _witness(parents, state, state), explored)
             meter.spend(comb(size, k), "search")
-            for raw, shot in _successors(adj, state, k, seen, store):
-                if raw == 0:
-                    return ClearResult(CLEARED, _witness(parents, state, shot, group), explored)
-                nxt = raw
-                if canonical is not None:
-                    nxt = canonical(raw)
-                    if nxt != raw:
-                        if nxt in seen:
-                            continue  # its orbit was generated before
-                        seen.add(nxt)
+            for nxt, shot in _successors(adj, state, k, seen, store):
+                if nxt == 0:
+                    return ClearResult(CLEARED, _witness(parents, state, shot), explored)
                 if _dominated(minimal, nxt):
                     continue
-                parents[nxt] = (state, shot, raw)
+                parents[nxt] = (state, shot)
                 _admit(minimal, nxt)
                 admitted.append(nxt)
         kept = set(minimal)
         layer = [state for state in admitted if state in kept]
-    return ClearResult(BLOCKED, None, explored)
+        if width is not None and len(layer) > width:
+            layer = sorted(layer, key=lambda state: (state.bit_count(), state))[:width]
+            cut = True
+    return ClearResult(UNDECIDED if cut else BLOCKED, None, explored)
 
 
 @dataclass(frozen=True)
@@ -450,8 +439,6 @@ class SolveResult:
     witness: Strategy
     explored_states: int
     lower_bound_used: int
-    # the order of the subgroup of automorphisms the search listed
-    group_order: int = 1
     # "sandwich" when every component's bound met a nest strategy, else "search"
     route: str = "search"
 
@@ -502,29 +489,21 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     after an empty shot when len(W_e) is even.  Every other component
     searches from V.
 
-    A component's automorphism group is found once, when the start's first
-    expansion charge C(|start|, k) first exceeds n^2 for its n vertices,
-    and every later search of the component keeps one state per orbit; a
-    search cheaper than that costs less than finding the group (Q4's 384
-    elements take about as long as its whole standard search).  An
-    automorphism that swaps the parts maps an even-start state onto an
-    odd-start one, which needs as many rounds, and the witness the search
-    rebuilds shoots, like the plain one, only inside the position set.
-    explored_states then counts orbit representatives, and group_order is
-    the order of the subgroup the search listed, the largest over the
-    components (1 for a plain search); automorphism_group lists only the
-    deepest levels of its stabiliser chain, so this is no full group order.
+    Each hunter count is searched first with its layers cut to SEARCH_WIDTH
+    states (can_clear's width), a pass that is the exact search whenever no
+    layer grew past the width.  Only when that pass cut a layer and did not
+    clear is the count searched again without a cut, so a count is passed
+    over only on a proof.  A witness from a pass that cut a layer need not
+    be a shortest one.  explored_states counts the states of both passes.
 
     One budget covers the bounds and the searches of every component; when
     it runs out, the error carries the best hunter count proved so far,
-    which counts the union bound of every decided prefix of j.  Finding
-    the group and building and verifying a sandwich charge nothing:
-    MAX_SEARCH_NODES bounds the group search, and a nest strategy is
-    polynomial in n.
+    which counts the union bound of every decided prefix of j.  Building
+    and verifying a sandwich charge nothing: a nest strategy is polynomial
+    in n.
     """
     meter = as_meter(budget)
     answer = bound_used = explored_total = 0
-    group_order = 1
     all_shots: list[int] = []
     for comp in components(g):
         sub, old = induced_subgraph(g, comp)
@@ -534,17 +513,12 @@ def hunter_number(g: Graph, variant: str = STANDARD,
         shots = _sandwich(sub, variant, k) if parts or variant != STANDARD else None
         if shots is None:
             start = None if parts is None else parts.even
-            start_size = sub.n if start is None else start.bit_count()
-            group = None
             while True:
                 meter.lower_bound = max(meter.lower_bound, k)
-                if group is None and comb(start_size, k) > sub.n ** 2:
-                    # imported here, so a call that needs no group never loads it
-                    from .symmetry import automorphism_group
-
-                    group = automorphism_group(sub)
-                    group_order = max(group_order, len(group.elements))
-                result = can_clear(sub, k, variant, meter, start, group)
+                result = can_clear(sub, k, variant, meter, start, width=SEARCH_WIDTH)
+                if result.status == UNDECIDED:
+                    explored_total += result.explored
+                    result = can_clear(sub, k, variant, meter, start)
                 explored_total += result.explored
                 if result.shots is not None:
                     break
@@ -554,4 +528,4 @@ def hunter_number(g: Graph, variant: str = STANDARD,
         all_shots.extend(mask_of(old[v] for v in bits(shot)) for shot in shots)
         answer = max(answer, k)
     return SolveResult(answer, Strategy(tuple(all_shots), variant), explored_total, bound_used,
-                       group_order, "search" if explored_total else "sandwich")
+                       "search" if explored_total else "sandwich")

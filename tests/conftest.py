@@ -20,7 +20,19 @@ from huntrab import solver
 from huntrab.cube import comb0
 from huntrab.dynamics import DEAF, STANDARD, Strategy, moves, step
 from huntrab.errors import InvalidOrderError, InvalidParameterError, NonTerminatingError
-from huntrab.graphs import Graph, bipartition, bits, graph_from_edges, mask_of, side_mask
+from huntrab.graphs import (
+    Graph,
+    bipartition,
+    bits,
+    cycle_graph,
+    graph_from_edges,
+    grid_graph,
+    hypercube_graph,
+    mask_of,
+    path_graph,
+    side_mask,
+    star_graph,
+)
 from huntrab.nesting import BIPARTITE, FULL, NestOrder, _bind, iter_weightlex
 from huntrab.solver import (
     BLOCKED,
@@ -575,8 +587,8 @@ def naive_can_clear(g: Graph, k: int, variant: str = "standard",
     return False
 
 
-def fifo_can_clear(g: Graph, k: int, variant: str = STANDARD, start: int | None = None,
-                   group=None) -> ClearResult:
+def fifo_can_clear(g: Graph, k: int, variant: str = STANDARD,
+                   start: int | None = None) -> ClearResult:
     """Reference dominance search that expands every admitted state in FIFO
     order, also one a later subset dropped from the antichain: can_clear
     before it expanded only each layer's antichain."""
@@ -585,11 +597,8 @@ def fifo_can_clear(g: Graph, k: int, variant: str = STANDARD, start: int | None 
         start = g.full_mask
     if start == 0:
         return ClearResult(CLEARED, (), 0)
-    canonical = group.canonical if group is not None and len(group.elements) > 1 else None
-    parents = {start: (-1, 0, start)}
+    parents = {start: (-1, 0)}
     seen = {start}
-    if canonical is not None:
-        seen.add(canonical(start))
     minimal = [start]
     queue = deque([start])
     store = _Tables()
@@ -598,20 +607,13 @@ def fifo_can_clear(g: Graph, k: int, variant: str = STANDARD, start: int | None 
         state = queue.popleft()
         explored += 1
         if state.bit_count() <= k:
-            return ClearResult(CLEARED, _witness(parents, state, state, group), explored)
-        for raw, shot in _successors(adj, state, k, seen, store):
-            if raw == 0:
-                return ClearResult(CLEARED, _witness(parents, state, shot, group), explored)
-            nxt = raw
-            if canonical is not None:
-                nxt = canonical(raw)
-                if nxt != raw:
-                    if nxt in seen:
-                        continue
-                    seen.add(nxt)
+            return ClearResult(CLEARED, _witness(parents, state, state), explored)
+        for nxt, shot in _successors(adj, state, k, seen, store):
+            if nxt == 0:
+                return ClearResult(CLEARED, _witness(parents, state, shot), explored)
             if _dominated(minimal, nxt):
                 continue
-            parents[nxt] = (state, shot, raw)
+            parents[nxt] = (state, shot)
             _admit(minimal, nxt)
             queue.append(nxt)
     return ClearResult(BLOCKED, None, explored)
@@ -727,3 +729,38 @@ def relabelled(g: Graph, seed: int) -> Graph:
 
 def random_mask(rng: random.Random, n: int) -> int:
     return rng.randrange(1 << n) if n else 0
+
+
+def complete_graph(n: int) -> Graph:
+    return graph_from_edges(n, list(itertools.combinations(range(n), 2)))
+
+
+def circulant(n: int, jumps: Iterable[int]) -> Graph:
+    return graph_from_edges(n, sorted({tuple(sorted((v, (v + j) % n))) for v in range(n) for j in jumps}))
+
+
+def product(g: Graph, h: Graph) -> Graph:
+    """Cartesian product: (a, b) is vertex a * h.n + b."""
+    edges = [(a * h.n + b, a * h.n + c) for a in range(g.n) for b, c in h.edges()]
+    edges += [(a * h.n + b, c * h.n + b) for a, c in g.edges() for b in range(h.n)]
+    return graph_from_edges(g.n * h.n, edges)
+
+
+def triangulated_grid(m: int, n: int) -> Graph:
+    """The m-by-n grid with one diagonal in each square, from (r, c) to
+    (r + 1, c + 1); not bipartite once m, n >= 2."""
+    diagonals = [(r * n + c, (r + 1) * n + c + 1) for r in range(m - 1) for c in range(n - 1)]
+    return graph_from_edges(m * n, list(grid_graph(m, n).edges()) + diagonals)
+
+
+PETERSEN = graph_from_edges(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+# small symmetric graphs, on which the tests check the search and the
+# sandwich against their oracles and each other
+QUOTIENT_CASES = [cycle_graph(n) for n in (5, 6, 8)]
+QUOTIENT_CASES += [circulant(8, (1, 2)), circulant(9, (1, 3)), circulant(10, (1, 4))]
+QUOTIENT_CASES += [grid_graph(2, 4), grid_graph(3, 3), grid_graph(3, 4)]
+QUOTIENT_CASES += [hypercube_graph(n) for n in range(1, 5)]
+QUOTIENT_CASES += [PETERSEN, product(cycle_graph(4), path_graph(2)), product(path_graph(3), cycle_graph(4)),
+                   product(complete_graph(3), complete_graph(3)), star_graph(5)]

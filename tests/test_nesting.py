@@ -271,8 +271,9 @@ def test_nesting_check_enumerates_each_side_once_and_the_strategy_nothing(monkey
     assert meter.spent == 2 * 248
     with pytest.raises(BudgetExceededError) as exc:
         check_isoperimetric_nesting(q4, order, budget=2 * 248 - 1)
-    # the even side and the odd side's k = 1..7 are paid for; k = 8 (8 units) is not
-    assert exc.value.phase == "bound" and exc.value.spent == 2 * 248 - 8
+    # the even side and the odd side's k = 1..7 are paid for; the exit also
+    # counts the 8 units of k = 8, whose node passed the budget
+    assert exc.value.phase == "bound" and exc.value.spent == 2 * 248
     charges = []
     monkeypatch.setattr(Meter, "spend", lambda self, units, phase: charges.append(units))
     nest_strategy(q4, order, 5)

@@ -28,13 +28,13 @@ def test_solve_families_verifies_every_witness(flags):
     assert not [line for line in rows if line.split()[-1] not in ("ok", "budget")]
     assert sum(line.endswith("ok") for line in rows) >= 20
     # an ok row's units are the budget it spent: a whole number within it
-    assert lines[0].split()[-3:] == ["units", "group", "witness"]
+    assert lines[0].split()[-2:] == ["units", "witness"]
     # and its route is the nest strategy's or the search's
     assert lines[0].split()[3] == "route"
     for line in rows:
         if line.endswith("ok"):
-            assert 0 <= int(line.split()[-3]) <= 20000, line
-            assert line.split()[-5] in ("sandwich", "search"), line
+            assert 0 <= int(line.split()[-2]) <= 20000, line
+            assert line.split()[-4] in ("sandwich", "search"), line
 
 
 def test_cube_table_closed_forms_match_the_scans():

@@ -7,8 +7,10 @@ from operator import or_
 import pytest
 
 from conftest import (
+    QUOTIENT_CASES,
     brute_min_union,
     cube_deaf_closed_profile,
+    fifo_can_clear,
     fresh_successors,
     naive_can_clear,
     naive_successors,
@@ -18,11 +20,12 @@ from conftest import (
     relabelled,
     searched_hunter_number,
     surplus,
+    triangulated_grid,
     union_profile,
 )
 from huntrab import solver
 from huntrab.cube import cube_deaf_surplus, cube_diff_seq, cube_hunter_number
-from huntrab.dynamics import DEAF, STANDARD, Caught, moves, verify
+from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, moves, run, verify
 from huntrab.errors import BudgetExceededError, InvalidParameterError
 from huntrab.graphs import (
     bipartition,
@@ -40,6 +43,7 @@ from huntrab.graphs import (
 from huntrab.solver import (
     BLOCKED,
     CLEARED,
+    UNDECIDED,
     Meter,
     _min_union,
     _sandwich,
@@ -51,8 +55,6 @@ from huntrab.solver import (
     lower_bound_union,
     min_neighborhood_union,
 )
-
-from test_symmetry import QUOTIENT_CASES
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +246,8 @@ def test_union_bound_budget_exit_reports_the_finished_prefix(g, variant, sides):
         for budget in (before, (before + after) // 2, after - 1):
             with pytest.raises(BudgetExceededError) as exc:
                 lower_bound_union(g, variant, budget)
-            assert exc.value.phase == "bound" and exc.value.spent <= budget
+            # the exit counts the node that passed the budget, at most n units
+            assert exc.value.phase == "bound" and budget < exc.value.spent <= budget + g.n
             assert exc.value.best_lower_bound == bound, budget
 
 
@@ -293,8 +296,18 @@ def test_union_search_reads_no_candidate_past_its_budget():
         reads.clear()
         with pytest.raises(BudgetExceededError) as exc:
             _min_union(contrib, 16, 0, Meter(budget))
-        assert exc.value.phase == "bound" and exc.value.spent == 0
+        assert exc.value.phase == "bound" and budget < exc.value.spent <= budget + len(contrib)
         assert len(reads) <= budget
+
+
+def test_a_bound_exit_reports_the_units_its_search_counted():
+    # the search that ran over had counted about 900,800 units past the
+    # 99,207 spent before it, which the exit used to report alone
+    meter = Meter(10**6)
+    with pytest.raises(BudgetExceededError) as exc:
+        lower_bound_union(grid_graph(7, 7), DEAF, meter)
+    assert exc.value.phase == "bound" and exc.value.best_lower_bound == 6
+    assert 10**6 < exc.value.spent == meter.spent <= 10**6 + 49
 
 
 def test_union_bound_meets_the_cube_closed_forms():
@@ -493,8 +506,7 @@ def search_record(g, variant, successors=None):
         if successors is not None:
             patch.setattr(solver, "_successors", successors)
         result = searched_hunter_number(g, variant, meter)
-    return (result.hunter_number, result.witness.shots, result.explored_states,
-            result.group_order, meter.spent)
+    return result.hunter_number, result.witness.shots, result.explored_states, meter.spent
 
 
 @pytest.mark.parametrize("variant", [STANDARD, DEAF])
@@ -517,6 +529,110 @@ def test_kept_tables_search_as_tables_built_per_state(variant):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(solver, "TABLE_ENTRIES", 64)
                 assert search_record(g, variant) == expected, (list(g.edges()), variant)
+
+
+# ---------------------------------------------------------------------------
+# The layered search against the FIFO one
+
+
+def agree_with_fifo_search(g, variant):
+    """Every k up to the first that clears: the same status and witness
+    length as the FIFO search that expands every admitted state, no more
+    states expanded, and a witness that catches from the start."""
+    parts = bipartition(g) if variant == STANDARD and g.n > 1 else None
+    start = g.full_mask if parts is None else parts.even
+    for k in range(1, g.n + 1):
+        fifo = fifo_can_clear(g, k, variant, start)
+        layered = can_clear(g, k, variant, start=start)
+        case = (list(g.edges()), variant, k)
+        assert layered.status == fifo.status, case
+        assert layered.explored <= fifo.explored, case
+        if fifo.status == CLEARED:
+            assert len(layered.shots) == len(fifo.shots), case
+            assert max((s.bit_count() for s in layered.shots), default=0) <= k, case
+            assert run(g, Strategy(layered.shots, variant), start).caught_at is not None, case
+            return
+
+
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+@pytest.mark.parametrize("g", QUOTIENT_CASES, ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_layered_search_matches_the_fifo_search(g, variant):
+    for seed in (None, 7):
+        agree_with_fifo_search(g if seed is None else relabelled(g, seed), variant)
+
+
+def test_layered_search_matches_the_fifo_search_on_random_graphs():
+    rng = random.Random(1919)
+    for _ in range(200):
+        g = random_graph(rng, 10, rng.choice([None, 0.3, 0.5]))
+        agree_with_fifo_search(g, rng.choice([STANDARD, DEAF]))
+
+
+# ---------------------------------------------------------------------------
+# The first pass: each hunter count searched with its layers cut
+
+
+@pytest.mark.parametrize("width", [1, 2, 16])
+def test_a_cut_search_clears_or_is_undecided(width):
+    # a cut search that clears has a witness the uncut search can match or
+    # shorten; one that blocks cut no layer, so it is the uncut search
+    rng = random.Random(31)
+    for _ in range(150):
+        g = random_graph(rng, 9, rng.choice([None, 0.3, 0.5]))
+        variant = rng.choice([STANDARD, DEAF])
+        for k in range(1, g.n + 1):
+            cut = can_clear(g, k, variant, width=width)
+            exact = can_clear(g, k, variant)
+            case = (list(g.edges()), variant, k)
+            if cut.status == BLOCKED:
+                assert cut == exact, case
+            elif cut.status == CLEARED:
+                assert exact.status == CLEARED and len(cut.shots) >= len(exact.shots), case
+                assert max((s.bit_count() for s in cut.shots), default=0) <= k, case
+                assert run(g, Strategy(cut.shots, variant), g.full_mask).caught_at is not None, case
+            else:
+                assert cut.status == UNDECIDED, case
+            if exact.status == CLEARED:
+                break
+
+
+def test_a_cut_search_that_misses_the_clearing_is_undecided():
+    # one state per layer misses every clearing with 2 hunters, which the
+    # uncut search finds
+    g = graph_from_edges(7, [(0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 4), (2, 5), (3, 4),
+                             (3, 5), (4, 5), (4, 6)])
+    assert hunter_number(g).hunter_number == 2
+    assert can_clear(g, 2, width=1).status == UNDECIDED
+    assert can_clear(g, 2, width=16).status == CLEARED == can_clear(g, 2).status
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+def test_a_narrow_first_pass_keeps_every_answer(monkeypatch, width, variant):
+    # a count whose cut pass does not clear is searched again uncut, so the
+    # answers stay those of the reference reachability search
+    monkeypatch.setattr(solver, "SEARCH_WIDTH", width)
+    rng = random.Random(17)
+    for _ in range(80):
+        g = random_graph(rng, 8, rng.choice([None, 0.3, 0.5]))
+        result = searched_hunter_number(g, variant)
+        h, case = result.hunter_number, (list(g.edges()), variant)
+        # hunter_number counts at least 1 hunter on a graph with no edge
+        assert naive_can_clear(g, h, variant), case
+        assert h == 1 or not naive_can_clear(g, h - 1, variant), case
+        assert result.witness.max_hunters <= h, case
+        assert isinstance(verify(g, result.witness), Caught), case
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_the_triangulated_grid_5x5_answers_by_the_first_pass(seed):
+    # not bipartite, so it is searched: at 6 hunters every layer is cut to
+    # SEARCH_WIDTH states, and the first pass clears
+    g = triangulated_grid(5, 5)
+    g = g if seed is None else relabelled(g, seed)
+    result = hunter_number(g)
+    assert (result.hunter_number, result.route) == (6, "search")
+    assert isinstance(verify(g, result.witness), Caught)
 
 
 # ---------------------------------------------------------------------------
