@@ -10,7 +10,6 @@ from conftest import (
     QUOTIENT_CASES,
     brute_min_union,
     cube_deaf_closed_profile,
-    fifo_can_clear,
     fresh_successors,
     naive_can_clear,
     naive_successors,
@@ -529,43 +528,6 @@ def test_kept_tables_search_as_tables_built_per_state(variant):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(solver, "TABLE_ENTRIES", 64)
                 assert search_record(g, variant) == expected, (list(g.edges()), variant)
-
-
-# ---------------------------------------------------------------------------
-# The layered search against the FIFO one
-
-
-def agree_with_fifo_search(g, variant):
-    """Every k up to the first that clears: the same status and witness
-    length as the FIFO search that expands every admitted state, no more
-    states expanded, and a witness that catches from the start."""
-    parts = bipartition(g) if variant == STANDARD and g.n > 1 else None
-    start = g.full_mask if parts is None else parts.even
-    for k in range(1, g.n + 1):
-        fifo = fifo_can_clear(g, k, variant, start)
-        layered = can_clear(g, k, variant, start=start)
-        case = (list(g.edges()), variant, k)
-        assert layered.status == fifo.status, case
-        assert layered.explored <= fifo.explored, case
-        if fifo.status == CLEARED:
-            assert len(layered.shots) == len(fifo.shots), case
-            assert max((s.bit_count() for s in layered.shots), default=0) <= k, case
-            assert run(g, Strategy(layered.shots, variant), start).caught_at is not None, case
-            return
-
-
-@pytest.mark.parametrize("variant", [STANDARD, DEAF])
-@pytest.mark.parametrize("g", QUOTIENT_CASES, ids=lambda g: f"n{g.n}m{g.edge_count}")
-def test_layered_search_matches_the_fifo_search(g, variant):
-    for seed in (None, 7):
-        agree_with_fifo_search(g if seed is None else relabelled(g, seed), variant)
-
-
-def test_layered_search_matches_the_fifo_search_on_random_graphs():
-    rng = random.Random(1919)
-    for _ in range(200):
-        g = random_graph(rng, 10, rng.choice([None, 0.3, 0.5]))
-        agree_with_fifo_search(g, rng.choice([STANDARD, DEAF]))
 
 
 # ---------------------------------------------------------------------------
