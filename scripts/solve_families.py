@@ -5,9 +5,9 @@ Usage: python scripts/solve_families.py [--deaf] [--budget N]
 
 Prints one line per instance: the hunter number, the lower bound that
 seeded it, the route that answered (sandwich: a nest strategy met the
-bound; search: some component was searched), the states explored (both
-passes of each searched hunter count; 0 on the sandwich route), the work
-units the solve spent of the budget, and whether the witness re-verifies.
+bound; search: some component was searched), the states explored (summed
+over the searched hunter counts; 0 on the sandwich route), the work units
+the solve spent of the budget, and whether the witness re-verifies.
 """
 
 import argparse

@@ -4,13 +4,9 @@ the exact hunter number by reachability search over rabbit-position states.
 The search treats each possible rabbit-position set as a state.  From state R
 the hunters shoot some H subset of R with |H| = min(k, |R|); shooting outside
 R is wasted and shooting fewer vertices is dominated, so this loses nothing.
-A state is clearable iff the empty set is reachable, and breadth-first
-layering gives a shortest witness.  Of the states a layer admits, the next
-layer expands only those no later subset from the same layer replaced.
-hunter_number first searches each hunter count with every layer cut to its
-SEARCH_WIDTH smallest states, and searches it again uncut only when that
-pass did not clear, so the answer is exact but a witness from a cut pass
-need not be shortest.
+A state is clearable iff the empty set is reachable.  The search expands
+the smallest state first and stops at the first successor that one shot
+clears, so its answer is exact but its witness need not be shortest.
 
 In the standard game a rabbit on a connected bipartite graph alternates
 parts, so a start inside one part keeps every position set inside one part:
@@ -25,6 +21,7 @@ and the search runs only where no such strategy is found.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import comb
 from typing import Iterator
 
@@ -46,40 +43,31 @@ from .nesting import nest_orders, nest_strategy
 # one per kept set (successor candidate) of each state the search expands.
 # The kept-set count depends only on |R| and k, so it is charged before the
 # work and does not change with how successors are built.  The half-table
-# entries built plus the candidates joined come to 0.97 per unit on the
-# exact-standard benchmark, 0.86 on exact-deaf (seed 1, draws 0-5) and 1.25
-# over 3,000 searched random graphs of up to 12 vertices; the joined
+# entries built plus the candidates joined come to 1.10 per unit on the
+# exact-standard benchmark, 0.88 on exact-deaf (seed 1, draws 0-5) and 1.51
+# over 3,000 searched random graphs of up to 12 vertices, but to 0.018 on
+# the triangulated grid 6x6 at k = 7, whose states are large; the joined
 # candidates alone never exceed the units.  A solve that a nest strategy
 # answers spends only its union bound, which searches each U(j) only until
 # it knows whether j raises the bound, and not at all when a greedy prefix
 # shows it cannot: grid 5x5 135 units, Q5 1,344, grid 7x7 6,382, Q6
-# 1,290,902 and Q5 deaf 645,451.  Searched, with both passes of each
-# hunter count, grid 5x5 from one part solves in 15,387 units, Q5 in
-# 91,824, grid 6x6 in 90,378, grid 7x7 in 767,495 and grid 5x5 deaf in
-# 3,682,792.
+# 1,290,902 and Q5 deaf 645,451.  Searched, grid 5x5 from one part solves
+# in 3,300 units, Q5 in 18,714, grid 6x6 in 10,568, grid 7x7 in 143,095
+# and grid 5x5 deaf in 383,803; the triangulated grid 6x6 clears at k = 7
+# in 21,416,889.
 DEFAULT_BUDGET = 10**8
 # can_clear keeps its half tables until they hold more than this many
-# entries, then drops them all before the next expansion.  The searched
-# triangulated grid 5x5 (194 states) took 0.66, 0.38, 0.30, 0.36 and
-# 0.32 s at a peak RSS of 16, 17, 22, 25 and 25 MB with a cap of 0, 2^14,
-# 2^16, 2^18 and none (Python 3.11, shared 2-core machine, one run each).
+# entries, then drops them all before the next expansion.  The exact
+# workloads' 240 random graphs (seed 1, draws 0-59) solved in 0.34 s in
+# the standard game and 0.18 s in the deaf game with a cap of 0, and in
+# 0.28 s and 0.17 s with 2^16.  The triangulated grid 6x6 at k = 7 (19
+# states) took 0.17 s with any cap, at a peak RSS of 28, 29, 34, 41 and
+# 41 MB with a cap of 0, 2^14, 2^16, 2^18 and none (Python 3.11, shared
+# 2-core machine, best of three).
 TABLE_ENTRIES = 1 << 16
-# hunter_number searches each hunter count first with every layer cut to
-# this many states, and again uncut only when that pass cut a layer and did
-# not clear.  On the exact workloads' random graphs (seed 1, draws 0-59,
-# 240 graphs) widths 4, 8 and 16 and no cut solved the standard game in
-# 0.60-0.70, 0.70-0.88, 0.78-0.88 and 0.88 s and the deaf game in 0.36,
-# 0.42-0.53, 0.45-0.52 and 0.51 s; they searched 138, 52, 9 and 0 of 393
-# standard counts again uncut (59, 39, 7 and 0 of 183 deaf), and gave 60,
-# 21, 2 and 0 of the 480 witnesses more shots than the shortest (each time
-# the best of 3 passes, over 1-3 runs).  The triangulated grid 5x5 took
-# 0.12-0.20, 0.19-0.28 and 0.42-0.48 s, and uncut it runs out of the
-# default budget (Python 3.11, shared 2-core machine).
-SEARCH_WIDTH = 16
 
 CLEARED = "cleared"
 BLOCKED = "blocked"
-UNDECIDED = "undecided"
 
 
 @dataclass
@@ -355,42 +343,36 @@ def _successors(adj: tuple[int, ...], state: int, k: int, seen: set[int],
 
 
 def can_clear(g: Graph, k: int, variant: str = STANDARD,
-              budget: int | Meter = DEFAULT_BUDGET, start: int | None = None,
-              width: int | None = None) -> ClearResult:
+              budget: int | Meter = DEFAULT_BUDGET, start: int | None = None) -> ClearResult:
     """Decide whether k hunters can clear g from the start set (default V(G)),
     with a shot-sequence witness.
 
-    Breadth-first search over position sets starting from start.  A generated
-    state is skipped when some already-admitted state is a subset of it: any
-    clearing from the superset also clears the subset (the dynamics are
-    monotone), so the subset's subtree already covers it and no shorter
-    witness is lost.  A state generated before, as most are, is never
-    yielded again by _successors, ahead of the linear antichain scan; the
-    result is the same because the antichain only ever gains subsets, so a
-    state dominated or admitted once stays dominated.  Successors come from
-    two half tables of distinct unions, not from every kept set (grid 4x5
-    at k = 3: 513,046 kept sets, 1,636 distinct states); keep-first
-    insertion puts each table in lexicographic first-reach order, so the
-    successors and their shots come as enumerating the kept sets
-    lexicographically first reaches them.  The search keeps its tables by
-    vertex mask, each built once from the table one vertex smaller, for
-    every state whose low or high half it is, and drops them all once they
-    hold more than TABLE_ENTRIES entries.  Expanding state R is charged
-    C(|R|, k) units, one per kept set.
+    Best-first search over position sets starting from start: the state
+    expanded next is the smallest admitted one, the shallower on a tie, then
+    the lower mask.  A generated state is skipped when some already-admitted
+    state is a subset of it: any clearing from the superset also clears the
+    subset (the dynamics are monotone), so the subset's subtree already
+    covers it.  An admitted state that a later subset drops from the
+    antichain is not expanded, for the same reason.  A state generated
+    before, as most are, is never yielded again by _successors, ahead of the
+    linear antichain scan; the result is the same because the antichain only
+    ever gains subsets, so a state dominated or admitted once stays
+    dominated.  Successors come from two half tables of distinct unions, not
+    from every kept set (grid 4x5 at k = 3: 513,046 kept sets, 1,636
+    distinct states); keep-first insertion puts each table in lexicographic
+    first-reach order, so the successors and their shots come as
+    enumerating the kept sets lexicographically first reaches them.  The
+    search keeps its tables by vertex mask, each built once from the table
+    one vertex smaller, for every state whose low or high half it is, and
+    drops them all once they hold more than TABLE_ENTRIES entries.
+    Expanding state R is charged C(|R|, k) units, one per kept set.
 
-    The search runs layer by layer, each layer in the order its states were
-    admitted.  A state that a later subset admitted in the same layer drops
-    from the antichain is never expanded: that subset clears in no more
-    rounds and is expanded in the same layer, so the answer and the witness
-    length stay those of expanding every admitted state in FIFO order.  A
-    state dropped by a subset from a deeper layer is still expanded, since
-    skipping it could lengthen the witness.
-
-    With a width, each layer is then cut to its width smallest states by
-    (size, mask); the states cut stay in the antichain and in seen.  A cut
-    search that clears returns a witness, not always a shortest one; one
-    that does not clear proves nothing and returns UNDECIDED.  A search
-    that cut no layer is the exact one, and its BLOCKED is a proof.
+    The search returns CLEARED at the first successor of at most k vertices,
+    with a witness whose last shot is that whole successor; it need not be
+    a shortest witness.  BLOCKED is a proof in any expansion order: every
+    state left in the antichain was expanded and each of its successors
+    holds one of them, so if any of them cleared, a successor of the one
+    that clears in the fewest rounds would hold one that clears in fewer.
     """
     if k < 1:
         raise InvalidParameterError("hunter count must be at least 1")
@@ -405,32 +387,27 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     parents: dict[int, tuple[int, int]] = {start: (-1, 0)}
     seen = {start}
     minimal: list[int] = [start]
-    layer = [start]
+    heap = [(start.bit_count(), 0, start)]
     store = _Tables()
     explored = 0
-    cut = False
-    while layer:
-        admitted: list[int] = []
-        for state in layer:
-            explored += 1
-            size = state.bit_count()
-            if size <= k:
-                return ClearResult(CLEARED, _witness(parents, state, state), explored)
-            meter.spend(comb(size, k), "search")
-            for nxt, shot in _successors(adj, state, k, seen, store):
-                if nxt == 0:
-                    return ClearResult(CLEARED, _witness(parents, state, shot), explored)
-                if _dominated(minimal, nxt):
-                    continue
-                parents[nxt] = (state, shot)
-                _admit(minimal, nxt)
-                admitted.append(nxt)
-        kept = set(minimal)
-        layer = [state for state in admitted if state in kept]
-        if width is not None and len(layer) > width:
-            layer = sorted(layer, key=lambda state: (state.bit_count(), state))[:width]
-            cut = True
-    return ClearResult(UNDECIDED if cut else BLOCKED, None, explored)
+    while heap:
+        size, depth, state = heappop(heap)
+        if state not in minimal:
+            continue  # a later subset replaced it
+        explored += 1
+        if size <= k:
+            return ClearResult(CLEARED, _witness(parents, state, state), explored)
+        meter.spend(comb(size, k), "search")
+        for nxt, shot in _successors(adj, state, k, seen, store):
+            if nxt.bit_count() <= k:
+                shots = _witness(parents, state, shot)
+                return ClearResult(CLEARED, shots + (nxt,) if nxt else shots, explored)
+            if _dominated(minimal, nxt):
+                continue
+            parents[nxt] = (state, shot)
+            _admit(minimal, nxt)
+            heappush(heap, (nxt.bit_count(), depth + 1, nxt))
+    return ClearResult(BLOCKED, None, explored)
 
 
 @dataclass(frozen=True)
@@ -477,8 +454,8 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     is "sandwich" when no component searched, else "search";
     explored_states counts the states the searches expanded, summed over
     every hunter count tried, and is 0 on the sandwich route.  A state a
-    later subset in its layer replaced is admitted but not expanded, so it
-    is not counted.
+    later subset replaced is admitted but not expanded, so it is not
+    counted.
 
     In the standard game a bipartite component is searched from its even
     part only.  No other start needs more hunters: one empty shot moves the
@@ -487,14 +464,8 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     even-start witness W_e shoots only in the part the even-start rabbit is
     on, never in the odd-start rabbit's, so extend_parity plays W_e again,
     after an empty shot when len(W_e) is even.  Every other component
-    searches from V.
-
-    Each hunter count is searched first with its layers cut to SEARCH_WIDTH
-    states (can_clear's width), a pass that is the exact search whenever no
-    layer grew past the width.  Only when that pass cut a layer and did not
-    clear is the count searched again without a cut, so a count is passed
-    over only on a proof.  A witness from a pass that cut a layer need not
-    be a shortest one.  explored_states counts the states of both passes.
+    searches from V.  Each hunter count is one can_clear call, whose
+    BLOCKED is a proof, and whose witness need not be a shortest one.
 
     One budget covers the bounds and the searches of every component; when
     it runs out, the error carries the best hunter count proved so far,
@@ -515,10 +486,7 @@ def hunter_number(g: Graph, variant: str = STANDARD,
             start = None if parts is None else parts.even
             while True:
                 meter.lower_bound = max(meter.lower_bound, k)
-                result = can_clear(sub, k, variant, meter, start, width=SEARCH_WIDTH)
-                if result.status == UNDECIDED:
-                    explored_total += result.explored
-                    result = can_clear(sub, k, variant, meter, start)
+                result = can_clear(sub, k, variant, meter, start)
                 explored_total += result.explored
                 if result.shots is not None:
                     break

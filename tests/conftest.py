@@ -590,8 +590,8 @@ def naive_can_clear(g: Graph, k: int, variant: str = "standard",
 def fifo_can_clear(g: Graph, k: int, variant: str = STANDARD,
                    start: int | None = None) -> ClearResult:
     """Reference dominance search that expands every admitted state in FIFO
-    order, also one a later subset dropped from the antichain: can_clear
-    before it expanded only each layer's antichain."""
+    order, also one a later subset dropped from the antichain, and returns
+    a shortest witness."""
     adj = moves(g, variant)
     if start is None:
         start = g.full_mask

@@ -42,7 +42,6 @@ from huntrab.graphs import (
 from huntrab.solver import (
     BLOCKED,
     CLEARED,
-    UNDECIDED,
     Meter,
     _min_union,
     _sandwich,
@@ -414,27 +413,26 @@ def test_can_clear_agrees_with_reference_search():
 _PINNED_SEARCHES = [
     ("grid3x4", STANDARD, 1, BLOCKED, None, 1, 12),
     ("grid3x4", STANDARD, 2, CLEARED,
-     (1152, 576, 132, 576, 36, 528, 36, 18, 528, 1056, 18, 1056, 66, 1152, 66, 132), 84, 2472),
+     (1152, 576, 132, 576, 36, 528, 36, 18, 528, 1056, 18, 1056, 66, 1152, 66, 132), 20, 604),
     ("grid3x4", DEAF, 3, BLOCKED, None, 11, 1870),
-    ("grid3x4", DEAF, 4, CLEARED, (3712, 1728, 712, 588, 612, 804, 308, 54, 19), 165, 20131),
+    ("grid3x4", DEAF, 4, CLEARED, (3712, 1728, 712, 588, 612, 804, 308, 54, 19), 8, 1286),
     ("q3", STANDARD, 2, BLOCKED, None, 1, 28),
-    ("q3", STANDARD, 3, CLEARED, (104, 22, 148, 41), 12, 344),
+    ("q3", STANDARD, 3, CLEARED, (104, 22, 148, 41), 3, 95),
     ("q3", DEAF, 4, BLOCKED, None, 9, 350),
-    ("q3", DEAF, 5, CLEARED, (248, 124, 62, 23), 34, 368),
+    ("q3", DEAF, 5, CLEARED, (248, 124, 62, 23), 3, 83),
     ("c7", STANDARD, 1, BLOCKED, None, 1, 7),
-    ("c7", STANDARD, 2, CLEARED, (80, 10, 66, 20, 36, 66), 44, 371),
+    ("c7", STANDARD, 2, CLEARED, (33, 20, 3, 33, 20, 66), 5, 55),
     ("c7", DEAF, 2, BLOCKED, None, 1, 21),
-    ("c7", DEAF, 3, CLEARED, (112, 88, 76, 70, 67), 23, 273),
+    ("c7", DEAF, 3, CLEARED, (97, 49, 25, 14, 67), 4, 69),
     ("random10", STANDARD, 1, BLOCKED, None, 2, 18),
-    ("random10", STANDARD, 2, CLEARED,
-     (130, 257, 160, 513, 129, 129, 513, 160, 257, 130), 38, 577),
-    ("random10", DEAF, 2, BLOCKED, None, 4, 145),
-    ("random10", DEAF, 3, CLEARED, (56, 800, 770, 515, 7, 193, 134), 46, 1616),
-    ("q4", DEAF, 7, BLOCKED, None, 97, 388960),
-    ("q4", DEAF, 8, CLEARED, (64704, 16096, 7912, 6008, 1916, 831), 938, 937470),
+    ("random10", STANDARD, 2, CLEARED, (33, 288, 130, 65, 33, 33, 257, 3, 65, 130), 16, 240),
+    ("random10", DEAF, 2, BLOCKED, None, 3, 109),
+    ("random10", DEAF, 3, CLEARED, (56, 545, 289, 259, 7, 193, 134), 6, 245),
+    ("q4", DEAF, 7, BLOCKED, None, 82, 292435),
+    ("q4", DEAF, 8, CLEARED, (64704, 16096, 7912, 6008, 1916, 831), 5, 17370),
     ("grid4x4", STANDARD, 2, BLOCKED, None, 13, 1380),
     ("grid4x4", STANDARD, 3, CLEARED,
-     (51200, 9472, 2624, 416, 88, 37, 41984, 6656, 1408, 592, 164, 18), 420, 89336),
+     (51200, 9472, 2624, 416, 82, 16516, 41984, 6656, 1408, 592, 164, 18), 11, 2130),
 ]
 
 
@@ -530,51 +528,12 @@ def test_kept_tables_search_as_tables_built_per_state(variant):
                 assert search_record(g, variant) == expected, (list(g.edges()), variant)
 
 
-# ---------------------------------------------------------------------------
-# The first pass: each hunter count searched with its layers cut
-
-
-@pytest.mark.parametrize("width", [1, 2, 16])
-def test_a_cut_search_clears_or_is_undecided(width):
-    # a cut search that clears has a witness the uncut search can match or
-    # shorten; one that blocks cut no layer, so it is the uncut search
-    rng = random.Random(31)
-    for _ in range(150):
-        g = random_graph(rng, 9, rng.choice([None, 0.3, 0.5]))
-        variant = rng.choice([STANDARD, DEAF])
-        for k in range(1, g.n + 1):
-            cut = can_clear(g, k, variant, width=width)
-            exact = can_clear(g, k, variant)
-            case = (list(g.edges()), variant, k)
-            if cut.status == BLOCKED:
-                assert cut == exact, case
-            elif cut.status == CLEARED:
-                assert exact.status == CLEARED and len(cut.shots) >= len(exact.shots), case
-                assert max((s.bit_count() for s in cut.shots), default=0) <= k, case
-                assert run(g, Strategy(cut.shots, variant), g.full_mask).caught_at is not None, case
-            else:
-                assert cut.status == UNDECIDED, case
-            if exact.status == CLEARED:
-                break
-
-
-def test_a_cut_search_that_misses_the_clearing_is_undecided():
-    # one state per layer misses every clearing with 2 hunters, which the
-    # uncut search finds
-    g = graph_from_edges(7, [(0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 4), (2, 5), (3, 4),
-                             (3, 5), (4, 5), (4, 6)])
-    assert hunter_number(g).hunter_number == 2
-    assert can_clear(g, 2, width=1).status == UNDECIDED
-    assert can_clear(g, 2, width=16).status == CLEARED == can_clear(g, 2).status
-
-
-@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("variant", [STANDARD, DEAF])
-def test_a_narrow_first_pass_keeps_every_answer(monkeypatch, width, variant):
-    # a count whose cut pass does not clear is searched again uncut, so the
-    # answers stay those of the reference reachability search
-    monkeypatch.setattr(solver, "SEARCH_WIDTH", width)
-    rng = random.Random(17)
+def test_a_narrow_first_pass_keeps_every_answer(batch, variant):
+    # the smallest-first search gives every answer of the reference
+    # reachability search, on two batches of seeded random graphs
+    rng = random.Random(16 + batch)
     for _ in range(80):
         g = random_graph(rng, 8, rng.choice([None, 0.3, 0.5]))
         result = searched_hunter_number(g, variant)
@@ -588,13 +547,23 @@ def test_a_narrow_first_pass_keeps_every_answer(monkeypatch, width, variant):
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_the_triangulated_grid_5x5_answers_by_the_first_pass(seed):
-    # not bipartite, so it is searched: at 6 hunters every layer is cut to
-    # SEARCH_WIDTH states, and the first pass clears
+    # not bipartite, so it is searched from V, in one pass per hunter count
     g = triangulated_grid(5, 5)
     g = g if seed is None else relabelled(g, seed)
     result = hunter_number(g)
     assert (result.hunter_number, result.route) == (6, "search")
     assert isinstance(verify(g, result.witness), Caught)
+
+
+@pytest.mark.parametrize("size, k", [(5, 6), (6, 7)])
+def test_the_triangulated_grids_clear_from_every_vertex(size, k):
+    # each search's states are large, so it is charged C(|R|, k) units for
+    # little work; expanding the smallest state first clears within the
+    # default budget (5x5 in 13 states, 6x6 in 19)
+    g = triangulated_grid(size, size)
+    result = can_clear(g, k)
+    assert result.status == CLEARED
+    assert isinstance(verify(g, Strategy(result.shots)), Caught)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +679,7 @@ def test_budget_bounds_the_total_work_of_a_solve():
     assert max(degeneracy(g), lower_bound_union(g, DEAF)) == 2
     meter = Meter()
     assert hunter_number(g, DEAF, meter).hunter_number == 3
-    assert meter.spent == 567  # 91 for the union bound, then the searches
+    assert meter.spent == 306  # 91 for the union bound, then the searches
     assert hunter_number(g, DEAF, meter.spent).hunter_number == 3
     with pytest.raises(BudgetExceededError) as exc:
         hunter_number(g, DEAF, meter.spent - 1)
