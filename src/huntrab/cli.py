@@ -74,7 +74,7 @@ def _render_human(report: dict) -> str:
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
     else:
         print(_render_human(report), end="")
 

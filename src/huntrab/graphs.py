@@ -236,18 +236,26 @@ def side_mask(g: Graph, side: str) -> int:
 
 
 def degeneracy(g: Graph) -> int:
-    """Max over the min-degree peeling process of the current minimum degree."""
-    if g.n == 0:
-        return 0
-    remaining = g.full_mask
+    """Max over the min-degree peeling process of the current minimum degree,
+    peeled from one vertex-mask bucket per degree; after a peel at degree d
+    no vertex has degree below d - 1."""
     degree = [g.degree(v) for v in range(g.n)]
-    best = 0
+    buckets = [0] * (g.n + 1)
+    for v, d in enumerate(degree):
+        buckets[d] |= 1 << v
+    remaining, best, d = g.full_mask, 0, 0
     for _ in range(g.n):
-        v = min(iter_bits(remaining), key=lambda u: (degree[u], u))
-        best = max(best, degree[v])
-        remaining &= ~(1 << v)
-        for u in iter_bits(g.adj[v] & remaining):
+        while not buckets[d]:
+            d += 1
+        bit = buckets[d] & -buckets[d]
+        buckets[d] ^= bit
+        remaining ^= bit
+        best = max(best, d)
+        for u in iter_bits(g.adj[bit.bit_length() - 1] & remaining):
+            buckets[degree[u]] ^= 1 << u
             degree[u] -= 1
+            buckets[degree[u]] |= 1 << u
+        d = max(d - 1, 0)
     return best
 
 

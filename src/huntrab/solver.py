@@ -5,8 +5,10 @@ The search treats each possible rabbit-position set as a state.  From state R
 the hunters shoot some H subset of R with |H| = min(k, |R|); shooting outside
 R is wasted and shooting fewer vertices is dominated, so this loses nothing.
 A state is clearable iff the empty set is reachable.  The search expands
-the smallest state first and stops at the first successor that one shot
-clears, so its answer is exact but its witness need not be shortest.
+the smallest state first, skips one that holds a state it expanded (the
+subset clears in no more rounds), and stops at the first successor that
+one shot clears, so its answer is exact but its witness need not be
+shortest.
 
 In the standard game a rabbit on a connected bipartite graph alternates
 parts, so a start inside one part keeps every position set inside one part:
@@ -58,11 +60,11 @@ from .nesting import nest_orders, nest_strategy
 DEFAULT_BUDGET = 10**8
 # can_clear keeps its half tables until they hold more than this many
 # entries, then drops them all before the next expansion.  The exact
-# workloads' 240 random graphs (seed 1, draws 0-59) solved in 0.34 s in
-# the standard game and 0.18 s in the deaf game with a cap of 0, and in
-# 0.28 s and 0.17 s with 2^16.  The triangulated grid 6x6 at k = 7 (19
-# states) took 0.17 s with any cap, at a peak RSS of 28, 29, 34, 41 and
-# 41 MB with a cap of 0, 2^14, 2^16, 2^18 and none (Python 3.11, shared
+# workloads' 240 random graphs (seed 1, draws 0-59) solved in 0.53 s in
+# the standard game and 0.24 s in the deaf game with a cap of 0, and in
+# 0.39 s and 0.22 s with 2^16.  The triangulated grid 6x6 at k = 7 (19
+# states) took 0.08 s with any cap, at a peak RSS of 28, 28, 34, 40 and
+# 40 MB with a cap of 0, 2^14, 2^16, 2^18 and none (Python 3.11, shared
 # 2-core machine, best of three).
 TABLE_ENTRIES = 1 << 16
 
@@ -240,16 +242,6 @@ class ClearResult:
     explored: int
 
 
-def _dominated(minimal: list[int], state: int) -> bool:
-    return any(y & state == y for y in minimal)
-
-
-def _admit(minimal: list[int], state: int) -> None:
-    # keep an antichain: drop stored supersets of the new state
-    minimal[:] = [y for y in minimal if state & y != state]
-    minimal.append(state)
-
-
 def _witness(parents: dict[int, tuple[int, int]], state: int, last: int) -> tuple[int, ...]:
     """The shots from the start to state, then last."""
     shots = [last]
@@ -317,10 +309,11 @@ def _successors(adj: tuple[int, ...], state: int, k: int, seen: set[int],
     """
     if store.entries > TABLE_ENTRIES:
         store.drop()
-    vs = bits(state)
-    keep = len(vs) - k
-    low = state & ((1 << vs[len(vs) // 2]) - 1)
-    high = state ^ low
+    size, high = state.bit_count(), state
+    for _ in range(size // 2):
+        high &= high - 1  # drop the lowest vertex
+    keep = size - k
+    low = state ^ high
     by_count = store.groups.get(high)
     if by_count is None:
         by_count = store.groups[high] = {}
@@ -347,32 +340,34 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
     """Decide whether k hunters can clear g from the start set (default V(G)),
     with a shot-sequence witness.
 
-    Best-first search over position sets starting from start: the state
-    expanded next is the smallest admitted one, the shallower on a tie, then
-    the lower mask.  A generated state is skipped when some already-admitted
-    state is a subset of it: any clearing from the superset also clears the
-    subset (the dynamics are monotone), so the subset's subtree already
-    covers it.  An admitted state that a later subset drops from the
-    antichain is not expanded, for the same reason.  A state generated
-    before, as most are, is never yielded again by _successors, ahead of the
-    linear antichain scan; the result is the same because the antichain only
-    ever gains subsets, so a state dominated or admitted once stays
-    dominated.  Successors come from two half tables of distinct unions, not
-    from every kept set (grid 4x5 at k = 3: 513,046 kept sets, 1,636
-    distinct states); keep-first insertion puts each table in lexicographic
-    first-reach order, so the successors and their shots come as
-    enumerating the kept sets lexicographically first reaches them.  The
-    search keeps its tables by vertex mask, each built once from the table
-    one vertex smaller, for every state whose low or high half it is, and
-    drops them all once they hold more than TABLE_ENTRIES entries.
+    Best-first search over position sets starting from start: each state
+    generated for the first time goes on a heap, which pops the smallest,
+    the shallower on a tie, then the lower mask.  A popped state that holds
+    an expanded state is skipped: any clearing from the superset also
+    clears the subset (the dynamics are monotone), so the subset's subtree
+    already covers it.  Checking when a state is popped, not when it is
+    generated, expands the same states in the same order as keeping an
+    antichain of the generated ones: a proper subset generated before the
+    state pops is smaller, so it has popped, and it was expanded or held an
+    expanded state.  Most generated states are never popped, so they cost
+    no linear scan of the expanded states.  A state generated before, as
+    most are, is never yielded again by _successors.  Successors come from
+    two half tables of distinct unions, not from every kept set (grid 4x5
+    at k = 3: 513,046 kept sets, 1,636 distinct states); keep-first
+    insertion puts each table in lexicographic first-reach order, so the
+    successors and their shots come as enumerating the kept sets
+    lexicographically first reaches them.  The search keeps its tables by
+    vertex mask, each built once from the table one vertex smaller, for
+    every state whose low or high half it is, and drops them all once they
+    hold more than TABLE_ENTRIES entries.
     Expanding state R is charged C(|R|, k) units, one per kept set.
 
     The search returns CLEARED at the first successor of at most k vertices,
     with a witness whose last shot is that whole successor; it need not be
-    a shortest witness.  BLOCKED is a proof in any expansion order: every
-    state left in the antichain was expanded and each of its successors
-    holds one of them, so if any of them cleared, a successor of the one
-    that clears in the fewest rounds would hold one that clears in fewer.
+    a shortest witness.  BLOCKED is a proof: the heap drained, so every
+    successor of an expanded state holds an expanded state, and if any
+    expanded state cleared, a successor of the one that clears in the
+    fewest rounds would hold one that clears in fewer.
     """
     if k < 1:
         raise InvalidParameterError("hunter count must be at least 1")
@@ -386,28 +381,24 @@ def can_clear(g: Graph, k: int, variant: str = STANDARD,
         return ClearResult(CLEARED, (), 0)
     parents: dict[int, tuple[int, int]] = {start: (-1, 0)}
     seen = {start}
-    minimal: list[int] = [start]
+    expanded: list[int] = []
     heap = [(start.bit_count(), 0, start)]
     store = _Tables()
-    explored = 0
     while heap:
         size, depth, state = heappop(heap)
-        if state not in minimal:
-            continue  # a later subset replaced it
-        explored += 1
+        if any(y & state == y for y in expanded):
+            continue  # holds an expanded state
+        expanded.append(state)
         if size <= k:
-            return ClearResult(CLEARED, _witness(parents, state, state), explored)
+            return ClearResult(CLEARED, _witness(parents, state, state), len(expanded))
         meter.spend(comb(size, k), "search")
         for nxt, shot in _successors(adj, state, k, seen, store):
             if nxt.bit_count() <= k:
                 shots = _witness(parents, state, shot)
-                return ClearResult(CLEARED, shots + (nxt,) if nxt else shots, explored)
-            if _dominated(minimal, nxt):
-                continue
+                return ClearResult(CLEARED, shots + (nxt,) if nxt else shots, len(expanded))
             parents[nxt] = (state, shot)
-            _admit(minimal, nxt)
             heappush(heap, (nxt.bit_count(), depth + 1, nxt))
-    return ClearResult(BLOCKED, None, explored)
+    return ClearResult(BLOCKED, None, len(expanded))
 
 
 @dataclass(frozen=True)
@@ -453,9 +444,8 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     component is searched, iterating the hunter count upward from k.  route
     is "sandwich" when no component searched, else "search";
     explored_states counts the states the searches expanded, summed over
-    every hunter count tried, and is 0 on the sandwich route.  A state a
-    later subset replaced is admitted but not expanded, so it is not
-    counted.
+    every hunter count tried, and is 0 on the sandwich route.  A state
+    skipped on the heap because it holds an expanded state is not counted.
 
     In the standard game a bipartite component is searched from its even
     part only.  No other start needs more hunters: one empty shot moves the
@@ -477,7 +467,7 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     answer = bound_used = explored_total = 0
     all_shots: list[int] = []
     for comp in components(g):
-        sub, old = induced_subgraph(g, comp)
+        sub, old = (g, range(g.n)) if comp == g.full_mask else induced_subgraph(g, comp)
         k = lower_bound(sub, variant, meter)
         parts = bipartition(sub) if variant == STANDARD else None
         bound_used = max(bound_used, k)

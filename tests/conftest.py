@@ -12,6 +12,7 @@ import operator
 import random
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Iterator
 
 import pytest
@@ -40,9 +41,7 @@ from huntrab.solver import (
     DEFAULT_BUDGET,
     ClearResult,
     Meter,
-    _admit,
     _contributions,
-    _dominated,
     _min_union,
     _successors,
     _Tables,
@@ -541,14 +540,17 @@ def shots_from_vertices(shot_lists: Iterable[Iterable[int]], variant: str = STAN
 
 
 def brute_degeneracy(g: Graph) -> int:
-    """Reference degeneracy: max over vertex subsets of the induced min degree."""
+    """Reference degeneracy: max over vertex subsets of the induced min
+    degree, on plain sets.  Every subset of min degree d or more lies in the
+    d-core, what is left once vertices of degree below d are deleted until
+    none is left, so the answer is the largest d with a non-empty d-core."""
     adj = adjacency_sets(g)
-    best = 0
-    for r in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), r):
-            sub = set(combo)
-            best = max(best, min(len(adj[v] & sub) for v in sub))
-    return best
+    core, d = set(adj), 0
+    while core:
+        d += 1
+        while low := {v for v in core if len(adj[v] & core) < d}:
+            core -= low
+    return max(d - 1, 0)
 
 
 def naive_can_clear(g: Graph, k: int, variant: str = "standard",
@@ -585,6 +587,56 @@ def naive_can_clear(g: Graph, k: int, variant: str = "standard",
                     raise RuntimeError("reference search grew past its cap")
                 queue.append(nxt)
     return False
+
+
+def _dominated(minimal: list[int], state: int) -> bool:
+    return any(y & state == y for y in minimal)
+
+
+def _admit(minimal: list[int], state: int) -> None:
+    # keep an antichain: drop stored supersets of the new state
+    minimal[:] = [y for y in minimal if state & y != state]
+    minimal.append(state)
+
+
+def antichain_can_clear(g: Graph, k: int, variant: str = STANDARD,
+                        budget: int | Meter = DEFAULT_BUDGET,
+                        start: int | None = None) -> ClearResult:
+    """Reference smallest-first search that checks dominance when it
+    generates a state: solver.can_clear before it checked at pop time.  A
+    successor that holds an admitted state is dropped, an admitted one
+    drops the admitted supersets from the antichain, and a popped state
+    that left the antichain is not expanded."""
+    adj = moves(g, variant)
+    if start is None:
+        start = g.full_mask
+    meter = as_meter(budget)
+    if start == 0:
+        return ClearResult(CLEARED, (), 0)
+    parents: dict[int, tuple[int, int]] = {start: (-1, 0)}
+    seen = {start}
+    minimal: list[int] = [start]
+    heap = [(start.bit_count(), 0, start)]
+    store = _Tables()
+    explored = 0
+    while heap:
+        size, depth, state = heappop(heap)
+        if state not in minimal:
+            continue  # a later subset replaced it
+        explored += 1
+        if size <= k:
+            return ClearResult(CLEARED, _witness(parents, state, state), explored)
+        meter.spend(math.comb(size, k), "search")
+        for nxt, shot in _successors(adj, state, k, seen, store):
+            if nxt.bit_count() <= k:
+                shots = _witness(parents, state, shot)
+                return ClearResult(CLEARED, shots + (nxt,) if nxt else shots, explored)
+            if _dominated(minimal, nxt):
+                continue
+            parents[nxt] = (state, shot)
+            _admit(minimal, nxt)
+            heappush(heap, (nxt.bit_count(), depth + 1, nxt))
+    return ClearResult(BLOCKED, None, explored)
 
 
 def fifo_can_clear(g: Graph, k: int, variant: str = STANDARD,

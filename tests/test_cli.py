@@ -752,6 +752,28 @@ def test_reports_are_deterministic_apart_from_timing(tmp_path, capsys):
     assert normalized(first) == normalized(second)
 
 
+@pytest.mark.parametrize("argv", [["solve", "q3.graph"], ["cube", "4", "diffseq"],
+                                  ["bounds", "q3.graph", "--deaf"]])
+def test_json_report_is_one_line_with_sorted_keys(tmp_path, capsys, monkeypatch, argv):
+    # the report parses to what the indented rendering of the same report
+    # parses to, and every object's keys come in sorted order
+    run_cli(capsys, "gen", "hypercube", "3", "-o", str(tmp_path / "q3.graph"))
+    monkeypatch.chdir(tmp_path)
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, as_json: (emitted.append(report),
+                                                                emit(report, as_json)))
+    _, out, _ = run_cli(capsys, "--json", *argv)
+    assert out.count("\n") == 1 and out.endswith("\n")
+
+    def sorted_pairs(pairs):
+        assert [key for key, _ in pairs] == sorted(key for key, _ in pairs)
+        return dict(pairs)
+
+    assert json.loads(out, object_pairs_hook=sorted_pairs) == \
+        json.loads(json.dumps(emitted[0], indent=2, sort_keys=True))
+
+
 def test_human_and_json_renderings_carry_identical_values(capsys):
     code, report = run_json(capsys, "cube", "3", "hun")
     code, human, _ = run_cli(capsys, "cube", "3", "hun")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -220,14 +221,31 @@ def test_degeneracy_examples():
 
 
 def test_degeneracy_matches_brute_force_on_small_graphs():
-    import random
-
+    # up to 20 vertices, with isolated vertices and several components
     rng = random.Random(99)
-    for _ in range(60):
-        n = rng.randrange(1, 8)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-        g = graph_from_edges(n, edges)
-        assert degeneracy(g) == brute_degeneracy(g)
+    graphs = [graph_from_edges(0, []), star_graph(1), star_graph(9), hypercube_graph(5),
+              grid_graph(5, 7)]
+    for _ in range(120):
+        n = rng.randrange(1, 21)
+        p = rng.choice([0.1, 0.2, 0.4, 0.7])
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        if rng.random() < 0.5:
+            # a second component after the first, then isolated vertices
+            m = rng.randrange(1, 8)
+            edges += [(n + u, n + v) for u in range(m) for v in range(u + 1, m)
+                      if rng.random() < 0.5]
+            n += m
+        graphs.append(graph_from_edges(n + rng.randrange(3), edges))
+    for g in graphs:
+        assert degeneracy(g) == brute_degeneracy(g), list(g.edges())
+        if g.n <= 8:
+            # the core reference against every vertex subset
+            adj = adjacency_sets(g)
+            assert brute_degeneracy(g) == max(
+                (min(len(adj[v] & set(sub)) for v in sub)
+                 for r in range(1, g.n + 1) for sub in itertools.combinations(range(g.n), r)),
+                default=0)
+    assert [degeneracy(g) for g in graphs[:5]] == [0, 1, 1, 5, 2]
 
 
 def test_components():

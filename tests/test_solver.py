@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     QUOTIENT_CASES,
+    antichain_can_clear,
     brute_min_union,
     cube_deaf_closed_profile,
     fresh_successors,
@@ -528,6 +529,43 @@ def test_kept_tables_search_as_tables_built_per_state(variant):
                 assert search_record(g, variant) == expected, (list(g.edges()), variant)
 
 
+def search_starts(g):
+    """V, and the even part of a bipartite graph."""
+    parts = bipartition(g)
+    return [None] if parts is None else [None, parts.even]
+
+
+def clear_record(search, g, k, variant, start):
+    meter = Meter()
+    return search(g, k, variant, meter, start), meter.spent
+
+
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+def test_the_pop_time_check_searches_as_the_eager_antichain(variant):
+    # skipping a popped state that holds an expanded one expands the same
+    # states in the same order as keeping an antichain of the generated
+    # ones: the same status, shots, states explored and units, also where
+    # the heap drains to BLOCKED below the lower bound
+    rng = random.Random(33)
+    graphs = [g if seed is None else relabelled(g, seed)
+              for g in QUOTIENT_CASES for seed in (None, 1)]
+    graphs += [random_graph(rng, 10) for _ in range(200)]
+    cases = [(g, k) for g in graphs
+             for k in range(max(1, lower_bound(g, variant) - 1), lower_bound(g, variant) + 2)]
+    for _ in range(40):
+        n = rng.choice((12, 13))
+        g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < 0.3])
+        cases += [(g, k) for k in (lower_bound(g, variant), lower_bound(g, variant) + 1)]
+    if variant == STANDARD:
+        cases.append((triangulated_grid(5, 5), 6))
+    for g, k in cases:
+        for start in search_starts(g):
+            expected = clear_record(antichain_can_clear, g, k, variant, start)
+            assert clear_record(can_clear, g, k, variant, start) == expected, \
+                (list(g.edges()), k, variant, start)
+
+
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("variant", [STANDARD, DEAF])
 def test_a_narrow_first_pass_keeps_every_answer(batch, variant):
@@ -612,6 +650,27 @@ def test_hunter_number_on_disconnected_graph():
     result = hunter_number(g)
     assert result.hunter_number == 1
     assert isinstance(verify(g, result.witness), Caught)
+
+
+@pytest.mark.parametrize("variant", [STANDARD, DEAF])
+def test_hunter_number_remaps_each_component_witness(variant):
+    # several components and isolated vertices, renumbered so that no
+    # component keeps its vertex numbers: the answer is the largest of the
+    # components' and the witness, remapped into g, still catches
+    rng = random.Random(41)
+    for _ in range(30):
+        parts = [random_graph(rng, 6) for _ in range(rng.randrange(1, 4))]
+        edges, n = [], 0
+        for part in parts:
+            edges += [(n + u, n + v) for u, v in part.edges()]
+            n += part.n
+        g = relabelled(graph_from_edges(n + rng.randrange(3), edges), rng.randrange(1000))
+        h = max(hunter_number(part, variant).hunter_number for part in parts)
+        for solve in (hunter_number, searched_hunter_number):
+            result = solve(g, variant)
+            assert result.hunter_number == h
+            assert result.witness.max_hunters <= h
+            assert isinstance(verify(g, result.witness), Caught), (list(g.edges()), g.n)
 
 
 def test_hunter_number_isolated_vertex_and_empty_graph():
