@@ -140,7 +140,7 @@ def _cmd_bounds(args) -> tuple[dict | None, int]:
         # per component, as solve takes it: an isolated vertex's U(1) = 0
         # would pull the whole graph's minima down
         union = max((solver.lower_bound_union(sub, variant, meter)
-                     for sub in solver.component_graphs(g)), default=0)
+                     for sub, _ in solver.component_graphs(g)), default=0)
     except BudgetExceededError as exc:
         if upper is None:
             raise

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .dynamics import STANDARD, Caught, Strategy, extend_parity, moves, verify
 from .errors import BudgetExceededError, InvalidParameterError, NonTerminatingError
@@ -210,10 +210,11 @@ def lower_bound_union(g: Graph, variant: str = STANDARD,
     return bound
 
 
-def component_graphs(g: Graph) -> Iterator[Graph]:
-    """Each component of g as a graph of its own; g itself when connected."""
+def component_graphs(g: Graph) -> Iterator[tuple[Graph, Sequence[int]]]:
+    """Each component of g as a graph of its own, with its new-index ->
+    old-index map; g itself when connected."""
     for comp in components(g):
-        yield g if comp == g.full_mask else induced_subgraph(g, comp)[0]
+        yield (g, range(g.n)) if comp == g.full_mask else induced_subgraph(g, comp)
 
 
 def lower_bound(g: Graph, variant: str = STANDARD, budget: int | Meter = DEFAULT_BUDGET) -> int:
@@ -224,7 +225,7 @@ def lower_bound(g: Graph, variant: str = STANDARD, budget: int | Meter = DEFAULT
     its union bound runs, so a budget exit there reports it."""
     meter = as_meter(budget)
     bound = 0
-    for sub in component_graphs(g):
+    for sub, _ in component_graphs(g):
         seed = max(1, degeneracy(sub))
         meter.lower_bound = max(meter.lower_bound, seed)
         bound = max(bound, seed, lower_bound_union(sub, variant, meter))
@@ -466,8 +467,7 @@ def hunter_number(g: Graph, variant: str = STANDARD,
     meter = as_meter(budget)
     answer = bound_used = explored_total = 0
     all_shots: list[int] = []
-    for comp in components(g):
-        sub, old = (g, range(g.n)) if comp == g.full_mask else induced_subgraph(g, comp)
+    for sub, old in component_graphs(g):
         k = lower_bound(sub, variant, meter)
         parts = bipartition(sub) if variant == STANDARD else None
         bound_used = max(bound_used, k)
