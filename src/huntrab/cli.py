@@ -33,6 +33,9 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 
+# one encoder for every report: json.dumps builds a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 USAGE_ERRORS = (InvalidParameterError, CapacityError, FormatError, InvalidOrderError,
                 InvalidStrategyError, NonTerminatingError, OSError)
 
@@ -48,11 +51,13 @@ FAMILIES = {
 }
 
 
-def _digest(path: str) -> dict:
-    """The file's sha256, taken as a command reads the file, before the work,
-    so a file rewritten meanwhile cannot put its hash next to the answer."""
+def _read(path: str) -> tuple[bytes, dict]:
+    """The file's bytes and its path and sha256, from the command's one read,
+    before the work: the digest names exactly the bytes parsed, so a file
+    rewritten meanwhile cannot put its hash next to the answer."""
     with open(path, "rb") as fh:
-        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+        data = fh.read()
+    return data, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _render_human(report: dict) -> str:
@@ -69,14 +74,12 @@ def _render_human(report: dict) -> str:
     for warning in report["warnings"]:
         lines.append(f"warning: {warning}")
     lines.append(f"timing_seconds: {report['timing_seconds']}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(_render_human(report), end="")
+    # print writes the newline on its own: no copy of a long report
+    print(_ENCODER.encode(report) if as_json else _render_human(report))
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +104,8 @@ def _cmd_gen(args) -> tuple[dict | None, int]:
 
 
 def _cmd_solve(args) -> tuple[dict | None, int]:
-    digest = _digest(args.graph)
-    g = graphs.read_graph(args.graph)
+    data, digest = _read(args.graph)
+    g = graphs.parse_graph(data.decode("utf-8"))
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     result = solver.hunter_number(g, variant, args.budget)
     outcome = dynamics.verify(g, result.witness)
@@ -127,8 +130,8 @@ def _cmd_solve(args) -> tuple[dict | None, int]:
 
 
 def _cmd_bounds(args) -> tuple[dict | None, int]:
-    digest = _digest(args.graph)
-    g = graphs.read_graph(args.graph)
+    data, digest = _read(args.graph)
+    g = graphs.parse_graph(data.decode("utf-8"))
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     degeneracy = graphs.degeneracy(g)
     meter = solver.Meter(args.budget, degeneracy)
@@ -154,8 +157,8 @@ def _cmd_bounds(args) -> tuple[dict | None, int]:
 
 
 def _cmd_strategy(args) -> tuple[dict, int]:
-    digest = _digest(args.graph)
-    g = graphs.read_graph(args.graph)
+    data, digest = _read(args.graph)
+    g = graphs.parse_graph(data.decode("utf-8"))
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     orders = iter([nesting.read_nest_order(args.order)] if args.order
                   else nesting.nest_orders(g, variant))
@@ -204,9 +207,11 @@ def _cmd_strategy(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    inputs = {"graph": _digest(args.graph), "strategy": _digest(args.strategy)}
-    g = graphs.read_graph(args.graph)
-    strategy = dynamics.read_strategy(args.strategy)
+    graph_data, graph_digest = _read(args.graph)
+    strategy_data, strategy_digest = _read(args.strategy)
+    inputs = {"graph": graph_digest, "strategy": strategy_digest}
+    g = graphs.parse_graph(graph_data.decode("utf-8"))
+    strategy = dynamics.parse_strategy(strategy_data.decode("utf-8"))
     outcome = dynamics.verify(g, strategy, args.start)
     if isinstance(outcome, dynamics.Caught):
         results = {"outcome": "caught", "step": outcome.step}
@@ -366,20 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace the full parser gives a well-formed call, read from
-    COMMANDS; None sends any other call to argparse.
-
-    Well formed: leading --json flags, a command, then only its exact option
-    spellings, each valued one followed by a word (not starting with "-"),
-    and the positional words in one run: argparse fills positionals run by
-    run, so "cube 5 mun --side odd 3" is an error there.
-    """
-    start = next((i for i, arg in enumerate(argv) if arg != "--json"), len(argv))
-    if start == len(argv) or argv[start] not in COMMANDS:
-        return None
-    func, _help, arguments = COMMANDS[argv[start]]
-    values = {"json": start > 0, "command": argv[start], "func": func}
+def _table(name: str) -> tuple[dict, dict, list, re.Pattern]:
+    """One command's parse table, from COMMANDS: its namespace before any
+    token, each option spelling's (dest, is a flag, spec), its positionals'
+    (dest, spec), and argparse's greedy pattern over them, one "A" a word."""
+    func, _help, arguments = COMMANDS[name]
+    defaults = {"command": name, "func": func}
     options, positionals = {}, []
     for flags, spec in arguments.items():
         spellings = flags.split()
@@ -389,8 +386,31 @@ def _parse(argv: list[str]) -> argparse.Namespace | None:
         long = next((s for s in spellings if s.startswith("--")), spellings[0])
         dest = long.lstrip("-").replace("-", "_")
         flag = spec.get("action") == "store_true"
-        values[dest] = spec.get("default", False if flag else None)
+        defaults[dest] = spec.get("default", False if flag else None)
         options.update(dict.fromkeys(spellings, (dest, flag, spec)))
+    pattern = re.compile("".join(f"(A{spec.get('nargs') or ''})" for _, spec in positionals))
+    return defaults, options, positionals, pattern
+
+
+_TABLES = {name: _table(name) for name in COMMANDS}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser gives a well-formed call, read from
+    the command's table (_TABLES); None sends any other call to argparse.
+
+    Well formed: leading --json flags, a command, then only its exact option
+    spellings, each valued one followed by a word (not starting with "-"),
+    and the positional words in one run: argparse fills positionals run by
+    run, so "cube 5 mun --side odd 3" is an error there.
+    """
+    start = 0
+    while start < len(argv) and argv[start] == "--json":
+        start += 1
+    if start == len(argv) or argv[start] not in _TABLES:
+        return None
+    defaults, options, positionals, pattern = _TABLES[argv[start]]
+    values = {**defaults, "json": start > 0}
     words: list[str] = []
     ended = False  # an option followed the positional words
     tokens = iter(argv[start + 1:])
@@ -404,9 +424,7 @@ def _parse(argv: list[str]) -> argparse.Namespace | None:
                 return None
             else:
                 words.append(token)
-        # argparse's greedy pattern over the run: one "A" per word
-        match = re.fullmatch("".join(f"(A{spec.get('nargs') or ''})" for _, spec in positionals),
-                             "A" * len(words))
+        match = pattern.fullmatch("A" * len(words))
         if match is None:
             return None
         for (dest, spec), group in zip(positionals, match.groups()):
@@ -415,7 +433,9 @@ def _parse(argv: list[str]) -> argparse.Namespace | None:
                             else _value(spec, chunk[0]) if chunk else spec.get("default"))
     except ValueError:
         return None
-    return argparse.Namespace(**values)
+    args = argparse.Namespace()
+    vars(args).update(values)  # Namespace(**values) sets one attribute at a time
+    return args
 
 
 def _value(spec: dict, word: str):

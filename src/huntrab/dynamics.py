@@ -207,11 +207,6 @@ def parse_strategy(text: str) -> Strategy:
     return Strategy(tuple(shots), variant)
 
 
-def read_strategy(path: str) -> Strategy:
-    with open(path, encoding="utf-8") as fh:
-        return parse_strategy(fh.read())
-
-
 def write_strategy(strategy: Strategy, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_strategy(strategy))

@@ -17,7 +17,7 @@ weightlex on a gen hypercube, then orders that ignore the numbering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from operator import or_
 from typing import Iterator
 
@@ -183,13 +183,14 @@ def nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     seen: set[tuple[int, str]] = set()
     while rabbit and len(shots) < 4 * g.n and (rabbit, side) not in seen:
         seen.add((rabbit, side))
-        # the side's order with the vertices outside the set reversed ahead
-        # of the set's own, so its last m are the set's tail, or the whole
-        # set and the first vertices after it
-        ranked = sorted(enumerate(order.sequence(side)),
-                        key=lambda pv: pv[0] if rabbit >> pv[1] & 1 else ~pv[0])
-        shots.append(mask_of(v for _, v in ranked[-m:]))
-        rabbit = step(nbrs, rabbit, shots[-1])
+        # the set's tail, or the whole set and the first vertices outside it
+        sequence = order.sequence(side)
+        inside = [v for v in sequence if rabbit >> v & 1]
+        shot = mask_of(inside[-m:])
+        if len(inside) < m:
+            shot |= mask_of(islice((v for v in sequence if not rabbit >> v & 1), m - len(inside)))
+        shots.append(shot)
+        rabbit = step(nbrs, rabbit, shot)
         side = order.next_side[side]
     if rabbit:
         raise NonTerminatingError(f"{m} hunters do not clear the graph along the order "

@@ -432,7 +432,9 @@ def segment_nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
 
 def capped_nest_strategy(g: Graph, order: NestOrder, m: int) -> Strategy:
     """nest_strategy as it played before it stopped at a repeated (set,
-    side) state: every one of the 4n rounds, then NonTerminatingError."""
+    side) state: every one of the 4n rounds, then NonTerminatingError.  It
+    picks each round's shots by sorting the side's order, the set's
+    vertices last, where nest_strategy walks the order once."""
     if m < min(1, g.n):
         raise InvalidParameterError("hunter count must be at least 1")
     _bind(g, order)

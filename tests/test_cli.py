@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import contextlib
 import hashlib
 import io
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import relabelled
 from huntrab import cli, dynamics, graphs, solver
 from huntrab.cube import MAX_SEQ_DIM, cube_diff_seq
-from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, read_strategy, verify
+from huntrab.dynamics import DEAF, STANDARD, Caught, Strategy, parse_strategy, verify
 from huntrab.graphs import format_graph, graph_from_edges, hypercube_graph, read_graph, star_graph
 from huntrab.nesting import (
     BIPARTITE,
@@ -239,6 +240,50 @@ def test_the_digests_name_the_bytes_that_were_verified(tmp_path, capsys, monkeyp
     assert hashlib.sha256(graph_path.read_bytes()).hexdigest() != originals[0]
 
 
+def test_each_input_file_is_opened_once(tmp_path, capsys, monkeypatch):
+    graph, strat, order = (str(tmp_path / name) for name in ("q3.graph", "q3.strategy", "q3.order"))
+    run_cli(capsys, "gen", "hypercube", "3", "-o", graph)
+    run_cli(capsys, "solve", graph, "--strategy-out", strat)
+    write_nest_order(weightlex_nest_order(hypercube_graph(3)), order)
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[file] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = str(tmp_path / "out")
+    for argv, paths in ((["solve", graph, "--strategy-out", out], [graph, out]),
+                        (["bounds", graph], [graph]),
+                        (["strategy", graph, "--order", order, "--out", out], [graph, order, out]),
+                        (["verify", graph, strat], [graph, strat])):
+        opened.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0 and opened == Counter(paths), argv
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_files_give_the_results_of_lf_files(tmp_path, capsys, newline):
+    lf, other = tmp_path / "lf", tmp_path / "other"
+    lf.mkdir(), other.mkdir()
+    run_cli(capsys, "gen", "hypercube", "3", "-o", str(lf / "q3.graph"))
+    run_cli(capsys, "solve", str(lf / "q3.graph"), "--strategy-out", str(lf / "q3.strategy"))
+    for name, head in (("q3.graph", "# a comment\n\n"), ("q3.strategy", "")):
+        # a trailing empty line is one more empty shot in a strategy file
+        text = head + (lf / name).read_text(encoding="utf-8") + "\n"
+        (lf / name).write_bytes(text.encode("utf-8"))
+        (other / name).write_bytes(text.replace("\n", newline).encode("utf-8"))
+
+    def results(folder, command, *files):
+        code, report = run_json(capsys, command, *(str(folder / name) for name in files))
+        return code, report["results"], report["warnings"]
+
+    for argv in (["solve", "q3.graph"], ["bounds", "q3.graph"], ["strategy", "q3.graph"],
+                 ["verify", "q3.graph", "q3.strategy"]):
+        assert results(other, *argv) == results(lf, *argv), argv
+
+
 def test_solve_witness_reverifies_end_to_end(tmp_path, capsys):
     graph_path = tmp_path / "g.graph"
     strat_path = tmp_path / "g.strategy"
@@ -339,7 +384,7 @@ def test_strategy_emits_published_q4_rounds(tmp_path, capsys):
         ["1000", "0100", "0010", "0001", "1110"],
     ]
     assert results["verified"] is True and results["verified_start"] == "even"
-    strategy = read_strategy(str(strat_path))
+    strategy = parse_strategy(strat_path.read_text(encoding="utf-8"))
     assert verify(hypercube_graph(4), strategy, "even") == Caught(step=4)
 
 
@@ -772,6 +817,7 @@ def test_json_report_is_one_line_with_sorted_keys(tmp_path, capsys, monkeypatch,
 
     assert json.loads(out, object_pairs_hook=sorted_pairs) == \
         json.loads(json.dumps(emitted[0], indent=2, sort_keys=True))
+    assert out == json.dumps(emitted[0], sort_keys=True) + "\n"
 
 
 def test_human_and_json_renderings_carry_identical_values(capsys):
@@ -976,6 +1022,8 @@ def test_a_well_formed_call_registers_no_parser(tmp_path, capsys, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    # the parse tables are built at import, not per call
+    monkeypatch.setattr(cli, "_table", lambda name: registered.append(f"table {name}"))
     code, _, _ = run_cli(capsys, "solve", str(path))
     assert code == 0
     assert registered == []

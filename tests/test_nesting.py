@@ -374,15 +374,16 @@ def test_nest_strategy_shoots_the_segment_tails_on_weightlex_and_the_sweep():
 
 @pytest.mark.parametrize("variant", [STANDARD, DEAF])
 def test_nest_strategy_stopping_at_a_repeated_state_keeps_every_outcome(variant):
-    # every learned and anchor order of a random graph, at every count up to
-    # its hunter number: the same shots, or the same error on both sides
+    # every order nest_orders makes for a random graph of 1-14 vertices, at
+    # every count up to n + 1, against the oracle's sorted shot selection:
+    # the same shots, or the same error on both sides
     rng = random.Random(28)
     for _ in range(200):
-        g = random_graph(rng, 12)
+        g = random_graph(rng, 14)
         if variant == STANDARD and bipartition(g) is None:
             g = graph_from_edges(g.n, [(u, v) for u, v in g.edges() if (u + v) % 2])
         for order in nest_orders(g, variant):
-            for m in range(1, hunter_number(g, variant).hunter_number + 1):
+            for m in range(1, g.n + 2):
                 try:
                     expected = capped_nest_strategy(g, order, m)
                 except (NonTerminatingError, InvalidOrderError) as exc:
