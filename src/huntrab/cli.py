@@ -51,10 +51,16 @@ FAMILIES = {
 }
 
 
+def _read_graph(path: str) -> tuple[graphs.Graph, dict]:
+    """The graph file parsed, and its path and sha256, from the command's one
+    read, before the work: the digest names exactly the bytes parsed, so a
+    file rewritten meanwhile cannot put its hash next to the answer."""
+    sha256 = hashlib.sha256()
+    return graphs.read_graph(path, sha256), {"path": path, "sha256": sha256.hexdigest()}
+
+
 def _read(path: str) -> tuple[bytes, dict]:
-    """The file's bytes and its path and sha256, from the command's one read,
-    before the work: the digest names exactly the bytes parsed, so a file
-    rewritten meanwhile cannot put its hash next to the answer."""
+    """The file's bytes, with its entry as _read_graph gives it."""
     with open(path, "rb") as fh:
         data = fh.read()
     return data, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
@@ -104,8 +110,7 @@ def _cmd_gen(args) -> tuple[dict | None, int]:
 
 
 def _cmd_solve(args) -> tuple[dict | None, int]:
-    data, digest = _read(args.graph)
-    g = graphs.parse_graph(data.decode("utf-8"))
+    g, digest = _read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     result = solver.hunter_number(g, variant, args.budget)
     outcome = dynamics.verify(g, result.witness)
@@ -130,8 +135,7 @@ def _cmd_solve(args) -> tuple[dict | None, int]:
 
 
 def _cmd_bounds(args) -> tuple[dict | None, int]:
-    data, digest = _read(args.graph)
-    g = graphs.parse_graph(data.decode("utf-8"))
+    g, digest = _read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     degeneracy = graphs.degeneracy(g)
     meter = solver.Meter(args.budget, degeneracy)
@@ -157,8 +161,7 @@ def _cmd_bounds(args) -> tuple[dict | None, int]:
 
 
 def _cmd_strategy(args) -> tuple[dict, int]:
-    data, digest = _read(args.graph)
-    g = graphs.parse_graph(data.decode("utf-8"))
+    g, digest = _read_graph(args.graph)
     variant = dynamics.DEAF if args.deaf else dynamics.STANDARD
     orders = iter([nesting.read_nest_order(args.order)] if args.order
                   else nesting.nest_orders(g, variant))
@@ -207,6 +210,8 @@ def _cmd_strategy(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    # both files read before either is decoded: an unreadable strategy file
+    # is reported ahead of a malformed graph
     graph_data, graph_digest = _read(args.graph)
     strategy_data, strategy_digest = _read(args.strategy)
     inputs = {"graph": graph_digest, "strategy": strategy_digest}

@@ -382,9 +382,14 @@ def parse_graph(text: str) -> Graph:
     return graph_from_edges(n, edges, lab)
 
 
-def read_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+def read_graph(path: str, digest=None) -> Graph:
+    """Parse the graph file at path, read once as bytes; a hashlib object
+    given as digest is fed exactly the bytes parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if digest is not None:
+        digest.update(data)
+    return parse_graph(data.decode("utf-8"))
 
 
 def write_graph(g: Graph, path: str) -> None:

@@ -699,6 +699,15 @@ def test_verify_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("graph_bytes", [b"3 1\n0 zebra\n", b"\xff\xfe3 0\n"],
+                         ids=["malformed", "not-utf-8"])
+def test_verify_reads_both_files_before_parsing_either(tmp_path, capsys, graph_bytes):
+    graph_path, strat_path = tmp_path / "bad.graph", tmp_path / "missing.strategy"
+    graph_path.write_bytes(graph_bytes)
+    code, _, err = run_cli(capsys, "verify", str(graph_path), str(strat_path))
+    assert code == 2 and "missing.strategy" in err
+
+
 # ---------------------------------------------------------------------------
 # cube
 

@@ -70,20 +70,10 @@ def test_module_uses_every_name_it_imports(path):
     assert not unused, f"{path.name} imports {unused} without using them"
 
 
-# Names the benchmark's own tests call, kept in the package while they do:
-# the benchmark's files cannot import tests/conftest.py.  The CLI parses
-# graph files with parse_graph; read_graph moves into tests/conftest.py
-# once perfbench/test_bench.py stops calling it.
-BENCHMARK_TESTS_CALL = {"graphs.read_graph"}
-
-
 def test_every_public_name_is_used_outside_the_tests():
     used = set().union(*(referenced_names(parse(p)) for p in MODULES + SCRIPTS + BENCHMARK))
     unused = sorted(f"{path.stem}.{qualified}" for path in MODULES
                     for qualified, name in public_names(parse(path)).items() if name not in used)
-    bench_tests = referenced_names(parse(ROOT / "perfbench" / "test_bench.py"))
-    assert {name.split(".")[-1] for name in BENCHMARK_TESTS_CALL} <= bench_tests
-    unused = [name for name in unused if name not in BENCHMARK_TESTS_CALL]
     assert not unused, f"only the tests use {unused}; move them into tests/conftest.py"
 
 
